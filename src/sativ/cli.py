@@ -34,7 +34,7 @@ TARGET_NAMES = {
 _TOP_KEYS = ("design", "basis", "sim", "estimation", "mc")
 _DESIGN_KEYS = ("saturations", "counts", "probs")
 _SIM_KEYS = ("G", "n", "means", "kappa", "sigma", "complier_shares", "share_probs", "seed")
-_ESTIMATION_KEYS = ("targets", "pure_control")
+_ESTIMATION_KEYS = ("pure_control",)
 _MC_KEYS = ("reps", "jobs", "estimators", "oracle_draws")
 
 
@@ -154,6 +154,9 @@ def _result_json(res: estimator.EstimateResult, cfg_echo: dict) -> dict:
             "n_pseudo_inverted": res.diagnostics.n_pseudo_inverted,
             "min_abs_det_r": _finite_or_none(res.diagnostics.min_abs_det_r),
             "cond_a": _finite_or_none(res.diagnostics.cond_a),
+            "pure_control": res.diagnostics.pure_control,
+            "n_chat_fallback": res.diagnostics.n_chat_fallback,
+            "n_instrument_keys": res.diagnostics.n_instrument_keys,
         },
         "config": cfg_echo,
     }
@@ -253,6 +256,9 @@ def _cmd_effects(args) -> int:
 def _cmd_montecarlo(args) -> int:
     cfg = load_config(args.config)
     sim = simconfig_from_config(cfg)
+    basis = basis_from_config(cfg)
+    if basis.name != "linear":  # replicate_once fits f = (1, x); RS_ROWS name k=2 terms
+        raise ValidationError(f"montecarlo supports only the linear basis, not {basis.name!r}")
     mc_block = cfg.get("mc", {})
     _check_keys(mc_block, _MC_KEYS, "mc")
     est_block = cfg.get("estimation", {})

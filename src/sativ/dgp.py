@@ -223,11 +223,6 @@ class ExperimentData:
         """Leave-one-out neighbor take-up share."""
         return (self.group_sum(self.d) - self.d) / (self.n_per_row - 1)
 
-    @cached_property
-    def zbar(self) -> np.ndarray:
-        """Leave-one-out neighbor offer share."""
-        return (self.group_sum(self.z) - self.z) / (self.n_per_row - 1)
-
     @property
     def has_latent(self) -> bool:
         return all(g.complier is not None for g in self.groups)
@@ -243,12 +238,6 @@ class ExperimentData:
         """Leave-one-out neighbor complier share from the latent truth."""
         c = self.complier
         return (self.group_sum(c) - c) / (self.n_per_row - 1)
-
-    def drop_pure_control(self) -> "ExperimentData":
-        kept = [g for g in self.groups if g.saturation > 0.0]
-        if not kept:
-            raise ValidationError("all groups are pure control; nothing to estimate")
-        return ExperimentData(kept)
 
     @property
     def has_pure_control_groups(self) -> bool:

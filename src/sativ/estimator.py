@@ -39,11 +39,21 @@ CSV_HEADER = ("group_id", "saturation", "z", "d", "y")
 
 @dataclass
 class EstimatorDiagnostics:
-    """Numerical health indicators collected while building instruments."""
+    """Numerical health indicators collected while building instruments.
+
+    ``pure_control`` is the policy that ran: "gmm", "drop" (also when gmm
+    finds no pure-control group in the data, and always for the never-taker
+    part of complier theta) or None without a 0% saturation in the design.
+    ``n_chat_fallback`` counts rows whose Chat fell to 0 because no neighbor
+    was offered; ``n_instrument_keys`` the distinct (Chat, n) keys.
+    """
 
     n_pseudo_inverted: int = 0
     min_abs_det_r: float = math.inf
     cond_a: float = math.nan
+    pure_control: str | None = None
+    n_chat_fallback: int = 0
+    n_instrument_keys: int = 0
 
 
 @dataclass
@@ -117,13 +127,14 @@ class _Rows:
     estimates bit-stable.
     """
 
+    _PER_ROW = ("y", "z", "d", "saturation", "n_per_row", "dbar", "chat", "chat_fallback")
+
     def __init__(self, data: ExperimentData, sort: bool = True):
         gidx = data.group_index
         if sort:
             order = np.lexsort((data.y, data.d, data.z, gidx))
         else:
             order = np.arange(len(gidx))
-        self.order = order
         self.y = data.y[order]
         self.z = data.z[order]
         self.d = data.d[order]
@@ -137,14 +148,33 @@ class _Rows:
         sum_d = np.add.reduceat(self.d, self.starts)[self.gidx]
         sum_z = np.add.reduceat(self.z, self.starts)[self.gidx]
         self.dbar = (sum_d - self.d) / (self.n_per_row - 1)
-        zbar_num = sum_z - self.z
-        self.zbar = zbar_num / (self.n_per_row - 1)
+        offered = sum_z - self.z
+        self.chat_fallback = offered == 0
         self.chat = np.divide(
-            sum_d - self.d, zbar_num, out=np.zeros_like(self.d), where=zbar_num > 0
+            sum_d - self.d, offered, out=np.zeros_like(self.d), where=~self.chat_fallback
         )
         self._cbar_true = None
         if data.has_latent:
             self._cbar_true = data.cbar_true[order]
+
+    def drop_pure_control(self) -> "_Rows":
+        """The rows of groups with saturation above 0, in the same order.
+
+        Equal bit for bit to the rows of the data without its pure-control
+        groups: every per-row value is computed within its group.
+        """
+        keep_group = self.saturation[self.starts] > 0.0
+        keep = keep_group[self.gidx]
+        out = object.__new__(_Rows)
+        for name in self._PER_ROW:
+            setattr(out, name, getattr(self, name)[keep])
+        out._cbar_true = None if self._cbar_true is None else self._cbar_true[keep]
+        out.sizes = self.sizes[keep_group]
+        out.starts = np.concatenate([[0], np.cumsum(out.sizes)[:-1]])
+        out.n_groups = len(out.sizes)
+        out.gidx = np.repeat(np.arange(out.n_groups), out.sizes)
+        out.group_ids = tuple(g for g, k in zip(self.group_ids, keep_group) if k)
+        return out
 
     def cbar(self, chat_policy: str) -> np.ndarray:
         if chat_policy == "estimate":
@@ -158,45 +188,6 @@ class _Rows:
     def group_scores(self, contribs: np.ndarray) -> np.ndarray:
         """Per-group sums of per-row score contributions, in group order."""
         return np.add.reduceat(contribs, self.starts, axis=0)
-
-
-class _QCache:
-    """Memoized exact Q_z matrices at integer complier counts for one design."""
-
-    def __init__(self, basis: BasisSpec, design: SaturationDesign):
-        self.basis = basis
-        self.design = design
-        self._cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def at_count(self, count: int, n: int, z: int) -> np.ndarray:
-        key = (count, n, z)
-        out = self._cache.get(key)
-        if out is None:
-            out = moments.q_z_at_count(self.basis, count, n, self.design, z)
-            self._cache[key] = out
-        return out
-
-    def blocks(self, cbar: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Extended (Q0, Q1) at a possibly non-integer (n-1)*cbar."""
-        count = (n - 1) * cbar
-        lower = math.floor(count)
-        if abs(count - round(count)) <= moments.INTEGER_TOL:
-            m = round(count)
-            return self.at_count(m, n, 0), self.at_count(m, n, 1)
-        omega = count - lower
-        q0 = (1 - omega) * self.at_count(lower, n, 0) + omega * self.at_count(lower + 1, n, 0)
-        q1 = (1 - omega) * self.at_count(lower, n, 1) + omega * self.at_count(lower + 1, n, 1)
-        return q0, q1
-
-
-def _pinv_with_flag(mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    cutoff = moments.PINV_RTOL * max(float(np.abs(vals).max()), 1.0)
-    keep = np.abs(vals) > cutoff
-    inv_vals = np.zeros_like(vals)
-    inv_vals[keep] = 1.0 / vals[keep]
-    pinv = (vecs * inv_vals) @ vecs.T
-    return (pinv + pinv.T) / 2.0, not bool(keep.all())
 
 
 def _target_arrays(
@@ -221,39 +212,73 @@ def _target_arrays(
     return x, w
 
 
-def _transform_instruments(
-    rows: _Rows,
-    basis: BasisSpec,
-    qcache: _QCache,
-    target: str,
-    cbar: np.ndarray,
-    w: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float]:
-    """Zhat = R(cbar, n)^+ W row by row, grouping rows that share (cbar, n)."""
-    if mask is None:
-        mask = np.ones(len(cbar), dtype=bool)
-    keys = np.column_stack([cbar[mask], rows.n_per_row[mask]])
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    p = w.shape[1]
-    rp = np.empty((len(uniq), p, p))
-    deficient = np.zeros(len(uniq), dtype=bool)
-    dets = np.empty(len(uniq))
-    for u, (cb, n) in enumerate(uniq):
-        q0, q1 = qcache.blocks(float(cb), int(n))
-        if target == TARGET_JOINT:
-            r = moments.assemble_q(q0, q1)
-        elif target == TARGET_POPULATION:
-            r = q0
+class _InstrumentPlan:
+    """Zhat = R(cbar, n)^+ W for every RS target of one dataset.
+
+    R depends on a row only through its key (cbar, n), so Q0/Q1 are built
+    once per key (one ``q_extended`` call per distinct n and z) and each R
+    family (Q0, Q1, stacked Q) gets one batched pseudo-inverse shared by all
+    targets.  The plan covers the rows of ``mask``: with a 0% saturation in
+    the design, the groups with S > 0, and the moments condition on S > 0.
+    """
+
+    def __init__(self, rows: _Rows, basis: BasisSpec, design: SaturationDesign, chat_policy: str):
+        if design.has_pure_control:
+            self.mask = rows.saturation > 0.0
+            if not self.mask.any():
+                raise ValidationError("all groups are pure control; nothing to estimate")
+            design = design.positive_part()
         else:
-            r = q1
-        dets[u] = np.linalg.det(r)
-        rp[u], deficient[u] = _pinv_with_flag(r)
-    zhat = np.zeros_like(w)
-    zhat[mask] = np.einsum("nij,nj->ni", rp[inv.ravel()], w[mask])
-    n_pseudo = int(deficient[inv.ravel()].sum())
-    min_det = float(np.abs(dets).min()) if len(dets) else math.inf
-    return zhat, n_pseudo, min_det
+            self.mask = np.ones(len(rows.y), dtype=bool)
+        cbar = rows.cbar(chat_policy)[self.mask]
+        n = rows.n_per_row[self.mask]
+        gidx = rows.gidx[self.mask]
+        self.n_chat_fallback = (
+            int(rows.chat_fallback[self.mask].sum()) if chat_policy == "estimate" else 0
+        )
+        # Keys are found on runs of equal (group, cbar): in canonical row
+        # order Chat takes at most three values per group, one run each.
+        run = np.ones(len(cbar), dtype=bool)
+        run[1:] = (cbar[1:] != cbar[:-1]) | (gidx[1:] != gidx[:-1])
+        run_starts = np.flatnonzero(run)
+        keys, key_of_run = np.unique(
+            np.column_stack([cbar[run_starts], n[run_starts]]), axis=0, return_inverse=True
+        )
+        self.row_key = np.repeat(key_of_run.ravel(), np.diff(np.append(run_starts, len(cbar))))
+        self.n_keys = len(keys)
+        k = basis.k
+        self.q0 = np.empty((self.n_keys, k, k))
+        self.q1 = np.empty((self.n_keys, k, k))
+        for size in np.unique(keys[:, 1]):
+            at = keys[:, 1] == size
+            self.q0[at] = moments.q_extended(basis, keys[at, 0], int(size), design, 0)
+            self.q1[at] = moments.q_extended(basis, keys[at, 0], int(size), design, 1)
+        self._families: dict[str, tuple[np.ndarray, int, float]] = {}
+
+    def _family(self, target: str) -> tuple[np.ndarray, int, float]:
+        """Per-key R^+, rows pseudo-inverted and min |det R| for the target's R."""
+        name = {TARGET_JOINT: "q", TARGET_POPULATION: "q0"}.get(target, "q1")
+        if name not in self._families:
+            r = moments.assemble_q(self.q0, self.q1) if name == "q" else getattr(self, name)
+            pinv, deficient = moments.pseudo_inverse_stack(r)
+            dets = np.abs(np.linalg.det(r))
+            self._families[name] = (pinv, int(deficient[self.row_key].sum()), float(dets.min()))
+        return self._families[name]
+
+    def zhat(self, target: str, w: np.ndarray) -> np.ndarray:
+        """Zhat for the rows of the mask, given W on those rows only."""
+        pinv = self._family(target)[0]
+        return np.einsum("nij,nj->ni", pinv[self.row_key], w)
+
+    def diagnostics(self, target: str, pure_control: str | None) -> EstimatorDiagnostics:
+        _, n_pseudo, min_det = self._family(target)
+        return EstimatorDiagnostics(
+            n_pseudo_inverted=n_pseudo,
+            min_abs_det_r=min_det,
+            pure_control=pure_control,
+            n_chat_fallback=self.n_chat_fallback,
+            n_instrument_keys=self.n_keys,
+        )
 
 
 def _check_clusters(rows: _Rows) -> None:
@@ -291,28 +316,30 @@ class _CoreResult:
     group_ids: tuple[int, ...]
 
 
-def _solve_just_identified(
+def _fit_iv(
     rows: _Rows,
     x: np.ndarray,
-    zhat: np.ndarray,
+    inst: np.ndarray,
+    y: np.ndarray,
     target: str,
     diag: EstimatorDiagnostics,
     df_correction: bool,
 ) -> _CoreResult:
+    """Just-identified IV of y on x with instruments ``inst``, clustered by group."""
     _check_clusters(rows)
-    a = zhat.T @ x
+    a = inst.T @ x
     diag.cond_a = float(np.linalg.cond(a))
     _require_well_conditioned(diag.cond_a, "instrument-regressor cross-product")
-    coef = np.linalg.solve(a, zhat.T @ rows.y)
-    u = rows.y - x @ coef
-    scores = rows.group_scores(zhat * u[:, None])
+    coef = np.linalg.solve(a, inst.T @ y)
+    u = y - x @ coef
+    scores = rows.group_scores(inst * u[:, None])
     vcov, ainv = _cluster_sandwich(a, scores, df_correction)
     result = EstimateResult(
         target=target,
         coefficients=coef,
         vcov=vcov,
         G_used=rows.n_groups,
-        N_used=len(rows.y),
+        N_used=len(y),
         diagnostics=diag,
     )
     return _CoreResult(result, scores @ ainv.T, rows.group_ids)
@@ -327,28 +354,12 @@ def _solve_2sls(
     diag: EstimatorDiagnostics,
     df_correction: bool,
 ) -> _CoreResult:
-    """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}."""
+    """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}: IV on the fitted Xhat."""
     _check_clusters(rows)
     zz = zmat.T @ zmat
     _require_well_conditioned(float(np.linalg.cond(zz)), "instrument cross-product")
-    proj = np.linalg.solve(zz, zmat.T @ x)
-    xhat = zmat @ proj
-    a = xhat.T @ x
-    diag.cond_a = float(np.linalg.cond(a))
-    _require_well_conditioned(diag.cond_a, "first-stage cross-product")
-    coef = np.linalg.solve(a, xhat.T @ yv)
-    u = yv - x @ coef
-    scores = rows.group_scores(xhat * u[:, None])
-    vcov, ainv = _cluster_sandwich(a, scores, df_correction)
-    result = EstimateResult(
-        target=target,
-        coefficients=coef,
-        vcov=vcov,
-        G_used=rows.n_groups,
-        N_used=len(yv),
-        diagnostics=diag,
-    )
-    return _CoreResult(result, scores @ ainv.T, rows.group_ids)
+    xhat = zmat @ np.linalg.solve(zz, zmat.T @ x)
+    return _fit_iv(rows, x, xhat, yv, target, diag, df_correction)
 
 
 def _validate_inputs(data: ExperimentData, design: SaturationDesign, basis: BasisSpec) -> None:
@@ -365,48 +376,38 @@ def _validate_inputs(data: ExperimentData, design: SaturationDesign, basis: Basi
 def _core_rsiv(
     rows: _Rows,
     basis: BasisSpec,
-    qcache: _QCache,
+    plan: _InstrumentPlan,
     target: str,
-    chat_policy: str,
+    pure_control: str | None,
     df_correction: bool,
 ) -> _CoreResult:
+    """Just-identified RS-IV on exactly the rows the plan covers."""
     x, w = _target_arrays(rows, basis, target)
-    cbar = rows.cbar(chat_policy)
-    zhat, n_pseudo, min_det = _transform_instruments(rows, basis, qcache, target, cbar, w)
-    diag = EstimatorDiagnostics(n_pseudo_inverted=n_pseudo, min_abs_det_r=min_det)
-    return _solve_just_identified(rows, x, zhat, target, diag, df_correction)
+    zhat = plan.zhat(target, w)
+    diag = plan.diagnostics(target, pure_control)
+    return _fit_iv(rows, x, zhat, rows.y, target, diag, df_correction)
 
 
 def _core_pure_control(
     rows: _Rows,
     basis: BasisSpec,
-    qcache: _QCache,
+    plan: _InstrumentPlan,
     target: str,
-    chat_policy: str,
     df_correction: bool,
 ) -> _CoreResult:
-    if target not in (TARGET_JOINT, TARGET_POPULATION):
-        raise ValidationError("pure-control GMM applies to the joint and population targets")
-    pos = rows.saturation > 0.0
-    if not pos.any():
-        raise ValidationError("all groups are pure control; nothing to estimate")
-    if pos.all():
-        raise ValidationError("pure-control estimator requires pure-control groups in the data")
+    """2SLS on all rows, with a pure-control indicator as an extra instrument."""
     x, w = _target_arrays(rows, basis, target)
-    cbar = rows.cbar(chat_policy)
-    zhat, n_pseudo, min_det = _transform_instruments(
-        rows, basis, qcache, target, cbar, w, mask=pos
-    )
+    pos = plan.mask
     p = x.shape[1]
     zmat = np.zeros((len(rows.y), p + 1))
-    zmat[:, :p] = zhat
+    zmat[pos, :p] = plan.zhat(target, w[pos])
     zmat[~pos, p] = 1.0
     if target == TARGET_POPULATION:
         x = (1.0 - rows.z)[:, None] * x
         yv = (1.0 - rows.z) * rows.y
     else:
         yv = rows.y
-    diag = EstimatorDiagnostics(n_pseudo_inverted=n_pseudo, min_abs_det_r=min_det)
+    diag = plan.diagnostics(target, "gmm")
     return _solve_2sls(rows, x, zmat, yv, target, diag, df_correction)
 
 
@@ -426,17 +427,13 @@ def build_instruments(
     _validate_inputs(data, design, basis)
     if target not in RS_TARGETS:
         raise ValidationError(f"instruments defined for RS-IV targets only, not {target!r}")
-    condition = design.has_pure_control
-    design_eff = design.positive_part() if condition else design
     rows = _Rows(data, sort=False)
-    qcache = _QCache(basis, design_eff)
+    plan = _InstrumentPlan(rows, basis, design, chat_policy)
     x, w = _target_arrays(rows, basis, target)
-    cbar = rows.cbar(chat_policy)
-    mask = rows.saturation > 0.0 if condition else None
-    zhat, n_pseudo, min_det = _transform_instruments(
-        rows, basis, qcache, target, cbar, w, mask=mask
-    )
-    return InstrumentSet(x, w, zhat, n_pseudo, min_det)
+    zhat = np.zeros_like(w)
+    zhat[plan.mask] = plan.zhat(target, w[plan.mask])
+    diag = plan.diagnostics(target, None)
+    return InstrumentSet(x, w, zhat, diag.n_pseudo_inverted, diag.min_abs_det_r)
 
 
 def complier_theta(
@@ -491,16 +488,15 @@ def _derive_complier_theta(
     jac[:, 2 * k] = -(theta_pop - theta_n) / rate**2
     joint = h.T @ h
     vcov = jac @ joint @ jac.T
+    pop_diag = pop_core.result.diagnostics
+    nt_diag = nt_core.result.diagnostics
     diag = EstimatorDiagnostics(
-        n_pseudo_inverted=pop_core.result.diagnostics.n_pseudo_inverted
-        + nt_core.result.diagnostics.n_pseudo_inverted,
-        min_abs_det_r=min(
-            pop_core.result.diagnostics.min_abs_det_r,
-            nt_core.result.diagnostics.min_abs_det_r,
-        ),
-        cond_a=max(
-            pop_core.result.diagnostics.cond_a, nt_core.result.diagnostics.cond_a
-        ),
+        n_pseudo_inverted=pop_diag.n_pseudo_inverted + nt_diag.n_pseudo_inverted,
+        min_abs_det_r=min(pop_diag.min_abs_det_r, nt_diag.min_abs_det_r),
+        cond_a=max(pop_diag.cond_a, nt_diag.cond_a),
+        pure_control=pop_diag.pure_control,
+        n_chat_fallback=pop_diag.n_chat_fallback,
+        n_instrument_keys=pop_diag.n_instrument_keys,
     )
     return EstimateResult(
         target=TARGET_COMPLIER_THETA,
@@ -524,43 +520,23 @@ def _estimate_cores(
     _validate_inputs(data, design, basis)
     if pure_control not in ("gmm", "drop"):
         raise ValidationError("pure_control policy must be 'gmm' or 'drop'")
-    has_zero = design.has_pure_control
-    condition = has_zero
-    design_eff = design.positive_part() if condition else design
-    qcache = _QCache(basis, design_eff)
-
-    rows_full = None
-    rows_dropped = None
-
-    def full_rows() -> _Rows:
-        nonlocal rows_full
-        if rows_full is None:
-            rows_full = _Rows(data)
-        return rows_full
-
-    def dropped_rows() -> _Rows:
-        nonlocal rows_dropped
-        if rows_dropped is None:
-            rows_dropped = _Rows(data.drop_pure_control() if has_zero else data)
-        return rows_dropped
-
-    cores: dict[str, _CoreResult] = {}
     for target in targets:
         if target not in RS_TARGETS:
             raise ValidationError(f"unknown RS-IV target {target!r}")
-        use_gmm = (
-            has_zero
-            and pure_control == "gmm"
-            and data.has_pure_control_groups
-            and target in (TARGET_JOINT, TARGET_POPULATION)
-        )
-        if use_gmm:
-            cores[target] = _core_pure_control(
-                full_rows(), basis, qcache, target, chat_policy, df_correction
-            )
+    has_zero = design.has_pure_control
+    rows = _Rows(data)
+    plan = _InstrumentPlan(rows, basis, design, chat_policy)
+    gmm = has_zero and pure_control == "gmm" and data.has_pure_control_groups
+    dropped = None
+    cores: dict[str, _CoreResult] = {}
+    for target in targets:
+        if gmm and target in (TARGET_JOINT, TARGET_POPULATION):
+            cores[target] = _core_pure_control(rows, basis, plan, target, df_correction)
         else:
+            if dropped is None:
+                dropped = rows.drop_pure_control() if has_zero else rows
             cores[target] = _core_rsiv(
-                dropped_rows(), basis, qcache, target, chat_policy, df_correction
+                dropped, basis, plan, target, "drop" if has_zero else None, df_correction
             )
     return cores
 
@@ -614,9 +590,10 @@ def rsiv_pure_control(
         raise ValidationError("design has no 0% saturation; use rsiv_estimate")
     if not data.has_pure_control_groups:
         raise ValidationError("data has no pure-control groups")
-    qcache = _QCache(basis, design.positive_part())
-    core = _core_pure_control(_Rows(data), basis, qcache, target, chat_policy, df_correction)
-    return core.result
+    if target not in (TARGET_JOINT, TARGET_POPULATION):
+        raise ValidationError("pure-control GMM applies to the joint and population targets")
+    cores = _estimate_cores(data, basis, design, (target,), "gmm", chat_policy, df_correction)
+    return cores[target].result
 
 
 def rsiv_complier_theta(
@@ -675,27 +652,12 @@ def estimate_all(
 def naive_iv(data: ExperimentData, *, df_correction: bool = False) -> EstimateResult:
     """IV regression of Y on (1, D, Dbar, D*Dbar) with instruments (1, Z, S, ZS)."""
     rows = _Rows(data)
-    _check_clusters(rows)
     x = np.column_stack([np.ones_like(rows.y), rows.d, rows.dbar, rows.d * rows.dbar])
     zmat = np.column_stack(
         [np.ones_like(rows.y), rows.z, rows.saturation, rows.z * rows.saturation]
     )
-    a = zmat.T @ x
     diag = EstimatorDiagnostics(n_pseudo_inverted=0, min_abs_det_r=math.nan)
-    diag.cond_a = float(np.linalg.cond(a))
-    _require_well_conditioned(diag.cond_a, "naive IV cross-product")
-    coef = np.linalg.solve(a, zmat.T @ rows.y)
-    u = rows.y - x @ coef
-    scores = rows.group_scores(zmat * u[:, None])
-    vcov, _ = _cluster_sandwich(a, scores, df_correction)
-    return EstimateResult(
-        target=TARGET_NAIVE,
-        coefficients=coef,
-        vcov=vcov,
-        G_used=rows.n_groups,
-        N_used=len(rows.y),
-        diagnostics=diag,
-    )
+    return _fit_iv(rows, x, zmat, rows.y, TARGET_NAIVE, diag, df_correction).result
 
 
 def ior_test(data: ExperimentData) -> IORTestResult:

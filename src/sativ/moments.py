@@ -7,6 +7,10 @@ computable by enumerating the binomial support.  This module provides that
 enumeration, the closed forms for the linear basis, the linear-interpolation
 extension to non-integer (n-1)*cbar, the large-n limit matrices, the 2x2
 block inverse of the stacked Q, and a symmetric Moore-Penrose pseudo-inverse.
+
+``q_z_at_count`` and ``q_extended`` also take a 1-D array of counts or cbar
+values and return a (m, K, K) stack from one call; ``assemble_q`` and
+``pseudo_inverse_stack`` work on such stacks.
 """
 from __future__ import annotations
 
@@ -41,69 +45,88 @@ class MomentMatrices:
 
 
 def assemble_q(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    k = q0.shape[0]
-    out = np.empty((2 * k, 2 * k))
-    out[:k, :k] = q0 + q1
-    out[:k, k:] = q1
-    out[k:, :k] = q1
-    out[k:, k:] = q1
+    """The stacked [[Q0+Q1, Q1], [Q1, Q1]]; also for (m, K, K) stacks of blocks."""
+    k = q0.shape[-1]
+    out = np.empty(q0.shape[:-2] + (2 * k, 2 * k))
+    out[..., :k, :k] = q0 + q1
+    out[..., :k, k:] = q1
+    out[..., k:, :k] = q1
+    out[..., k:, k:] = q1
     return out
+
+
+def _pmf_rows(counts: np.ndarray, p: float) -> np.ndarray:
+    """Row j is the pmf of Binomial(counts[j], p) on 0..max(counts), zero past counts[j].
+
+    Each row is computed in log space with the same operations, in the same
+    order, as a single pmf, so it equals that pmf bit for bit.
+    """
+    width = int(counts.max()) + 1
+    out = np.zeros((len(counts), width))
+    if p <= 0.0:
+        out[:, 0] = 1.0
+        return out
+    if p >= 1.0:
+        out[np.arange(len(counts)), counts] = 1.0
+        return out
+    m = np.arange(width)
+    log_fact = gammaln(m + 1)  # log(j!) for j = 0..width-1
+    c = counts[:, None]
+    logpmf = (
+        log_fact[c]
+        - log_fact[m]
+        - log_fact[np.maximum(c - m, 0)]
+        + m * math.log(p)
+        + (c - m) * math.log1p(-p)
+    )
+    return np.exp(np.where(m <= c, logpmf, -np.inf))
 
 
 def binomial_pmf(trials: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(trials, p), computed in log space for stability."""
     if trials < 0:
         raise ValidationError("trials must be nonnegative")
-    if trials == 0:
-        return np.ones(1)
-    if p <= 0.0:
-        out = np.zeros(trials + 1)
-        out[0] = 1.0
-        return out
-    if p >= 1.0:
-        out = np.zeros(trials + 1)
-        out[-1] = 1.0
-        return out
-    m = np.arange(trials + 1)
-    logpmf = (
-        gammaln(trials + 1)
-        - gammaln(m + 1)
-        - gammaln(trials - m + 1)
-        + m * math.log(p)
-        + (trials - m) * math.log1p(-p)
-    )
-    return np.exp(logpmf)
+    return _pmf_rows(np.array([trials]), p)[0]
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def q_z_at_count(
-    basis: BasisSpec, count: int, n: int, design: SaturationDesign, z: int
+    basis: BasisSpec, count, n: int, design: SaturationDesign, z: int
 ) -> np.ndarray:
     """Q_z at an integer neighbor complier count, i.e. cbar = count/(n-1).
 
     Q_z = sum_j w_j s_j^z (1-s_j)^(1-z) * E[f(Dbar) f(Dbar)'] with
     (n-1)*Dbar ~ Binomial(count, s_j).
+
+    ``count`` is an integer, giving a (K, K) matrix, or a 1-D integer array,
+    giving the (len(count), K, K) stack of Q_z at each count.  The array form
+    enumerates all counts in one stacked product over zero-padded pmf rows
+    and equals the scalar form at each count bit for bit.
     """
     if n < 2:
         raise ValidationError("group size must be at least 2")
-    if not 0 <= count <= n - 1:
+    counts = np.atleast_1d(np.asarray(count))
+    if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
+        raise ValidationError("complier count must be an integer or a 1-D integer array")
+    if counts.min() < 0 or counts.max() > n - 1:
         raise ValidationError("complier count outside 0..n-1")
     if z not in (0, 1):
         raise ValidationError("z must be 0 or 1")
     k = basis.k
-    out = np.zeros((k, k))
-    grid = np.arange(count + 1) / (n - 1)
-    fvals = basis.values(grid)  # (count+1, K)
+    out = np.zeros((len(counts), k, k))
+    grid = np.arange(int(counts.max()) + 1) / (n - 1)
+    fvals = basis.values(grid)  # (max count + 1, K)
     for s, w in zip(design.saturations, design.weights):
         zweight = w * (s if z == 1 else 1.0 - s)
         if zweight == 0.0:
             continue
-        pmf = binomial_pmf(count, s)
-        out += zweight * (fvals.T @ (pmf[:, None] * fvals))
-    return _symmetrize(out)
+        pmf = _pmf_rows(counts, s)
+        out += zweight * (fvals.T @ (pmf[:, :, None] * fvals))
+    out = _symmetrize(out)
+    return out if np.ndim(count) else out[0]
 
 
 def q_exact(
@@ -164,7 +187,7 @@ def q_linear_closed_form(
 
 def q_extended(
     basis: BasisSpec,
-    cbar: float,
+    cbar,
     n: int,
     design: SaturationDesign,
     z: int,
@@ -174,35 +197,24 @@ def q_extended(
 
     Interpolates between the exact matrices at the two neighboring integer
     complier counts; returns the exact value when (n-1)*cbar is an integer.
+    ``cbar`` is a float, giving a (K, K) matrix, or a 1-D array, giving the
+    (len(cbar), K, K) stack from a single ``q_z_at_count`` call over the
+    integer counts the values need.
     """
-    if not 0.0 <= cbar <= 1.0:
+    cbars = np.atleast_1d(np.asarray(cbar, dtype=float))
+    if np.any((cbars < 0.0) | (cbars > 1.0)):
         raise ValidationError("cbar must lie in [0, 1]")
     dsn = design.positive_part() if condition_on_positive else design
-    count = (n - 1) * cbar
-    lower = math.floor(count)
-    if abs(count - round(count)) <= INTEGER_TOL:
-        return q_z_at_count(basis, round(count), n, dsn, z)
-    omega = count - lower
-    ql = q_z_at_count(basis, lower, n, dsn, z)
-    qu = q_z_at_count(basis, lower + 1, n, dsn, z)
-    return (1.0 - omega) * ql + omega * qu
-
-
-def moment_matrices_extended(
-    basis: BasisSpec,
-    cbar: float,
-    n: int,
-    design: SaturationDesign,
-    condition_on_positive: bool = False,
-) -> MomentMatrices:
-    """Both extended blocks at (cbar, n), packaged with the stacked Q."""
-    return MomentMatrices(
-        q0=q_extended(basis, cbar, n, design, 0, condition_on_positive),
-        q1=q_extended(basis, cbar, n, design, 1, condition_on_positive),
-        cbar=cbar,
-        n=n,
-        condition_on_positive=condition_on_positive,
-    )
+    count = (n - 1) * cbars
+    nearest = np.round(count)
+    exact = np.abs(count - nearest) <= INTEGER_TOL
+    lower = np.where(exact, nearest, np.floor(count))
+    upper = np.where(exact, nearest, lower + 1)
+    omega = np.where(exact, 0.0, count - lower)[:, None, None]
+    needed, index = np.unique(np.concatenate([lower, upper]).astype(np.int64), return_inverse=True)
+    q_lower, q_upper = np.split(q_z_at_count(basis, needed, n, dsn, z)[index.ravel()], 2)
+    out = (1.0 - omega) * q_lower + omega * q_upper
+    return out if np.ndim(cbar) else out[0]
 
 
 def q_limit(basis: BasisSpec, cbar: float, design: SaturationDesign, z: int) -> np.ndarray:
@@ -236,18 +248,33 @@ def block_inverse(q0_inv: np.ndarray, q1_inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def pseudo_inverse(m: np.ndarray, tol: float = PINV_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
+def pseudo_inverse_stack(
+    m: np.ndarray, tol: float = PINV_RTOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moore-Penrose inverses of a (m, p, p) stack of symmetric matrices.
 
-    Eigenvalues below ``tol * max(|eigenvalue|, 1)`` are treated as exact
-    zeros, which separates the structural zeros of degenerate designs from
-    roundoff.  Coincides with the ordinary inverse when well-conditioned.
+    Eigenvalues below ``tol * max(|eigenvalue|, 1)`` of each matrix are
+    treated as exact zeros, which separates the structural zeros of
+    degenerate designs from roundoff.  Returns the inverses and a boolean per
+    matrix that is True where an eigenvalue was cut (the matrix is rank
+    deficient), using one stacked eigendecomposition.
     """
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if np.abs(m - m.T).max() > 1e-10 * scale:
+    scale = np.maximum(np.abs(m).max(axis=(1, 2), initial=0.0), 1.0)
+    if np.any(np.abs(m - np.swapaxes(m, 1, 2)).max(axis=(1, 2), initial=0.0) > 1e-10 * scale):
         raise ValidationError("pseudo_inverse requires a symmetric matrix")
     vals, vecs = np.linalg.eigh(_symmetrize(m))
-    cutoff = tol * max(float(np.abs(vals).max()), 1.0)
-    inv_vals = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return _symmetrize((vecs * inv_vals) @ vecs.T)
+    cutoff = tol * np.maximum(np.abs(vals).max(axis=1, initial=0.0), 1.0)
+    keep = np.abs(vals) > cutoff[:, None]
+    inv_vals = np.zeros_like(vals)
+    inv_vals[keep] = 1.0 / vals[keep]
+    pinv = (vecs * inv_vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return _symmetrize(pinv), ~keep.all(axis=1)
+
+
+def pseudo_inverse(m: np.ndarray, tol: float = PINV_RTOL) -> np.ndarray:
+    """Moore-Penrose inverse of one symmetric matrix; see ``pseudo_inverse_stack``.
+
+    Coincides with the ordinary inverse when well-conditioned.
+    """
+    return pseudo_inverse_stack(np.asarray(m)[None], tol)[0][0]

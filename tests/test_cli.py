@@ -64,7 +64,11 @@ class TestSubcommands:
         assert payload["target"] == "joint"
         assert len(payload["coefficients"]) == 4
         assert len(payload["vcov"]) == 4
-        assert "n_pseudo_inverted" in payload["diagnostics"]
+        diag = payload["diagnostics"]
+        assert "n_pseudo_inverted" in diag
+        assert diag["pure_control"] == "gmm"
+        assert diag["n_instrument_keys"] > 0
+        assert diag["n_chat_fallback"] >= 0
 
     def test_estimate_drop_policy(self, config_path, tmp_path):
         data_path = str(tmp_path / "data.csv")
@@ -179,6 +183,27 @@ class TestErrorPaths:
             "--target", "complier-psi",
         ])
         assert code == 2
+
+    def test_montecarlo_rejects_non_linear_basis(self, config_path, capsys):
+        cfg = json.loads(open(config_path).read())
+        cfg["basis"] = "quadratic"
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["montecarlo", "--config", config_path]) == 1
+        assert "linear basis" in capsys.readouterr().err
+
+    def test_estimation_targets_key_rejected(self, config_path, tmp_path, capsys):
+        cfg = json.loads(open(config_path).read())
+        cfg["estimation"] = {"targets": ["joint"]}
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        data_path = str(tmp_path / "data.csv")
+        assert main(["simulate", "--config", config_path, "--out", data_path]) == 0
+        code = main([
+            "estimate", "--config", config_path, "--data", data_path, "--target", "joint",
+        ])
+        assert code == 1
+        assert "unknown keys in estimation: targets" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["validate-design", "--config", "/nonexistent.json"]) == 1

@@ -190,6 +190,30 @@ class TestExactRecovery:
         assert np.allclose(pop.coefficients, [a, g], atol=1e-8)
 
 
+class TestPureControlDiagnostics:
+    def test_gmm_without_pure_control_groups_reports_drop(self):
+        # the design has a 0% saturation but the data hold no such group
+        data = simulate_experiment(noiseless_config(seed=3))
+        res = estimate_all(data, LIN, WITH_ZERO, pure_control="gmm")
+        for target in (TARGET_JOINT, TARGET_POPULATION, TARGET_COMPLIER_PSI,
+                       TARGET_NEVER_TAKER, TARGET_COMPLIER_THETA):
+            assert res[target].diagnostics.pure_control == "drop"
+        assert res["naive_iv"].diagnostics.pure_control is None
+
+    def test_policy_per_target(self):
+        data = simulate_experiment(noiseless_config(design=WITH_ZERO, seed=5))
+        res = estimate_all(data, LIN, WITH_ZERO, pure_control="gmm", include_naive=False)
+        policies = {t: r.diagnostics.pure_control for t, r in res.items()}
+        assert policies == {
+            TARGET_JOINT: "gmm", TARGET_POPULATION: "gmm", TARGET_COMPLIER_PSI: "drop",
+            TARGET_NEVER_TAKER: "drop", TARGET_COMPLIER_THETA: "gmm",
+        }
+        drop = estimate_all(data, LIN, WITH_ZERO, pure_control="drop", include_naive=False)
+        assert {r.diagnostics.pure_control for r in drop.values()} == {"drop"}
+        interior = estimate_all(simulate_experiment(noiseless_config(seed=3)), LIN, INTERIOR)
+        assert {r.diagnostics.pure_control for r in interior.values()} == {None}
+
+
 class TestComplierTheta:
     def _result(self, coefs):
         k = len(coefs)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from sativ.design import SaturationDesign
 from sativ.errors import ValidationError
@@ -11,8 +12,8 @@ from sativ.moments import (
     assemble_q,
     binomial_pmf,
     block_inverse,
-    moment_matrices_extended,
     pseudo_inverse,
+    pseudo_inverse_stack,
     q_exact,
     q_extended,
     q_limit,
@@ -63,6 +64,62 @@ class TestBinomialPmf:
         pmf = binomial_pmf(12, 0.35)
         direct = [comb(12, m) * 0.35**m * 0.65 ** (12 - m) for m in range(13)]
         assert np.allclose(pmf, direct, rtol=1e-12)
+
+
+def scalar_q_z(basis, count, n, design, z):
+    """Reference enumeration: one log-space pmf and one K x K product per saturation."""
+    out = np.zeros((basis.k, basis.k))
+    fvals = basis.values(np.arange(count + 1) / (n - 1))
+    m = np.arange(count + 1)
+    for s, w in zip(design.saturations, design.weights):
+        zweight = w * (s if z == 1 else 1.0 - s)
+        if zweight == 0.0:
+            continue
+        if count == 0:
+            pmf = np.ones(1)
+        elif s in (0.0, 1.0):
+            pmf = (m == (0 if s == 0.0 else count)).astype(float)
+        else:
+            pmf = np.exp(
+                gammaln(count + 1) - gammaln(m + 1) - gammaln(count - m + 1)
+                + m * np.log(s) + (count - m) * np.log1p(-s)
+            )
+        out += zweight * (fvals.T @ (pmf[:, None] * fvals))
+    return (out + out.T) / 2.0
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("n", [2, 5, 20, 116, 212])
+    @pytest.mark.parametrize("basis", [LIN, quadratic_basis()], ids=["lin", "quad"])
+    @pytest.mark.parametrize("design", [SEC6_DESIGN, TWO_SAT], ids=["zero-atom", "no-zero"])
+    def test_q_z_at_count_array_equals_scalar_loop(self, design, basis, n):
+        for z in (0, 1):
+            loop = np.stack([scalar_q_z(basis, c, n, design, z) for c in range(n)])
+            assert np.array_equal(q_z_at_count(basis, np.arange(n), n, design, z), loop)
+            some = np.array([n - 1, 0, n // 2])
+            assert np.array_equal(q_z_at_count(basis, some, n, design, z), loop[some])
+            assert np.array_equal(q_z_at_count(basis, n // 2, n, design, z), loop[n // 2])
+
+    def test_q_z_at_count_rejects_bad_counts(self):
+        for bad in (np.array([0, 11]), np.array([-1]), np.array([1.5]), np.array([], int)):
+            with pytest.raises(ValidationError):
+                q_z_at_count(LIN, bad, 11, TWO_SAT, 0)
+
+    def test_q_extended_array_equals_scalar_calls(self):
+        cbars = np.array([0.0, 0.4, 0.45, 1.0, 0.3 + 1e-12, 0.777])
+        for z in (0, 1):
+            stack = q_extended(quadratic_basis(), cbars, 11, SEC6_DESIGN, z)
+            for c, q in zip(cbars, stack):
+                one = q_extended(quadratic_basis(), float(c), 11, SEC6_DESIGN, z)
+                assert np.array_equal(q, one)
+
+    def test_pseudo_inverse_stack_flags_rank_deficient(self):
+        stack = np.stack([np.diag([2.0, 4.0]), np.diag([2.0, 0.0]), np.zeros((2, 2))])
+        pinv, deficient = pseudo_inverse_stack(stack)
+        assert deficient.tolist() == [False, True, True]
+        for m, p in zip(stack, pinv):
+            assert np.array_equal(p, pseudo_inverse(m))
+        assert np.allclose(pinv[1], np.diag([0.5, 0.0]))
 
 
 class TestQExact:
@@ -145,6 +202,13 @@ class TestQExtended:
         qb = q_z_at_count(LIN, 5, n, TWO_SAT, 0)
         q = q_extended(LIN, cbar_mid, n, TWO_SAT, z=0)
         assert np.allclose(q, (qa + qb) / 2, atol=1e-15)
+
+    def test_interpolation_weights(self):
+        n = 11
+        qa = q_z_at_count(LIN, 4, n, TWO_SAT, 1)
+        qb = q_z_at_count(LIN, 5, n, TWO_SAT, 1)
+        q = q_extended(LIN, 4.25 / (n - 1), n, TWO_SAT, z=1)
+        assert np.allclose(q, 0.75 * qa + 0.25 * qb, atol=1e-15)
 
     def test_psd_everywhere(self):
         rng = substream(9)
