@@ -119,11 +119,11 @@ def write_data_csv(data: ExperimentData, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(estimator.CSV_HEADER) + "\n")
         for g in data.groups:
-            sat = repr(float(g.saturation))
-            for i in range(g.n):
-                fh.write(
-                    f"{g.group_id},{sat},{int(g.z[i])},{int(g.d[i])},{float(g.y[i])!r}\n"
-                )
+            head = f"{g.group_id},{float(g.saturation)!r},"
+            fh.write("".join([
+                f"{head}{z},{d},{y!r}\n"
+                for z, d, y in zip(_ints(g.z), _ints(g.d), _floats(g.y))
+            ]))
 
 
 def write_latent_csv(data: ExperimentData, path) -> None:
@@ -133,13 +133,34 @@ def write_latent_csv(data: ExperimentData, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("group_id,complier,alpha,beta,gamma,delta\n")
         for g in data.groups:
-            for i in range(g.n):
-                a, b, c, d = (float(v) for v in g.coefs[i])
-                fh.write(f"{g.group_id},{int(g.complier[i])},{a!r},{b!r},{c!r},{d!r}\n")
+            fh.write("".join([
+                f"{g.group_id},{c},{a!r},{b!r},{gm!r},{dl!r}\n"
+                for c, (a, b, gm, dl) in zip(_ints(g.complier), _floats(g.coefs))
+            ]))
+
+
+def _ints(v: np.ndarray) -> list[int]:
+    """Python ints, as ``int()`` gives them, for fast per-group formatting."""
+    return np.asarray(v).astype(np.int64).tolist()
+
+
+def _floats(v: np.ndarray) -> list:
+    """Python floats, as ``float()`` gives them, for fast per-group formatting."""
+    return np.asarray(v, dtype=float).tolist()
 
 
 def _finite_or_none(x: float):
     return float(x) if np.isfinite(x) else None
+
+
+def _fallback_json(diag: estimator.EstimatorDiagnostics) -> dict:
+    """The policy that ran and the fallback counts of one estimate."""
+    return {
+        "pure_control": diag.pure_control,
+        "n_chat_fallback": diag.n_chat_fallback,
+        "n_instrument_keys": diag.n_instrument_keys,
+        "n_pseudo_inverted": diag.n_pseudo_inverted,
+    }
 
 
 def _result_json(res: estimator.EstimateResult, cfg_echo: dict) -> dict:
@@ -151,12 +172,9 @@ def _result_json(res: estimator.EstimateResult, cfg_echo: dict) -> dict:
         "G_used": res.G_used,
         "N_used": res.N_used,
         "diagnostics": {
-            "n_pseudo_inverted": res.diagnostics.n_pseudo_inverted,
             "min_abs_det_r": _finite_or_none(res.diagnostics.min_abs_det_r),
             "cond_a": _finite_or_none(res.diagnostics.cond_a),
-            "pure_control": res.diagnostics.pure_control,
-            "n_chat_fallback": res.diagnostics.n_chat_fallback,
-            "n_instrument_keys": res.diagnostics.n_instrument_keys,
+            **_fallback_json(res.diagnostics),
         },
         "config": cfg_echo,
     }
@@ -217,7 +235,7 @@ def _cmd_effects(args) -> int:
     basis = basis_from_config(cfg)
     est_block = cfg.get("estimation", {})
     _check_keys(est_block, _ESTIMATION_KEYS, "estimation")
-    pure_control = est_block.get("pure_control", "gmm")
+    pure_control = args.pure_control or est_block.get("pure_control", "gmm")
     data = estimator.ingest_csv(args.data)
     res = estimator.estimate_all(
         data, basis, design, pure_control=pure_control, include_naive=False
@@ -249,7 +267,8 @@ def _cmd_effects(args) -> int:
                 vals = (x, c.point[i], c.se[i], c.ci_low[i], c.ci_high[i])
                 fh.write(kind + "," + ",".join(repr(float(v)) for v in vals) + "\n")
     _write_meta(args.out, {"config_file": str(args.config), "data": str(args.data),
-                           "delta": args.delta, "grid_points": args.grid_points})
+                           "delta": args.delta, "grid_points": args.grid_points,
+                           "diagnostics": {t: _fallback_json(r.diagnostics) for t, r in res.items()}})
     return 0
 
 
@@ -347,6 +366,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=effects.DEFAULT_DELTA)
     p.add_argument("--grid-points", type=int, default=effects.DEFAULT_GRID_POINTS)
+    p.add_argument("--pure-control", choices=("drop", "gmm"), dest="pure_control")
     p.set_defaults(func=_cmd_effects)
 
     p = sub.add_parser("montecarlo", help="replication study: bias, SD, coverage")

@@ -157,8 +157,9 @@ class GroupData:
 class ExperimentData:
     """Grouped observations; the sole input to all estimators.
 
-    ``check=False`` skips per-group validation; reserved for data constructed
-    by the simulator, which satisfies the invariants by construction.
+    ``check=False`` skips per-group validation; reserved for data whose
+    invariants already hold: the simulator's, by construction, and
+    ``ingest_csv``'s, which checks every row.
     """
 
     groups: list[GroupData]

@@ -11,11 +11,14 @@ solving the over-identified system by two-stage least squares.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import f as f_dist
+from scipy.special import fdtrc
 
 from . import moments
 from .design import SaturationDesign
@@ -35,6 +38,9 @@ ALL_TARGETS = RS_TARGETS + (TARGET_COMPLIER_THETA, TARGET_NAIVE)
 
 COND_LIMIT = 1e12
 CSV_HEADER = ("group_id", "saturation", "z", "d", "y")
+_CSV_DTYPE = np.dtype(
+    [("group_id", "i8"), ("saturation", "f8"), ("z", "i8"), ("d", "i8"), ("y", "f8")]
+)
 
 
 @dataclass
@@ -701,7 +707,9 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     vb = vcov[1:, 1:]
     wald = float(b @ np.linalg.solve(vb, b))
     df = len(sats) - 1
-    p = float(f_dist.sf(wald / df, df, n_clusters - 1))
+    # fdtrc is F(df, G-1).sf but gives nan below 0, where a numerically
+    # indefinite vb can put the Wald statistic.
+    p = float(fdtrc(df, n_clusters - 1, max(wald / df, 0.0)))
     rates = tuple(float(d[sat == s].mean()) for s in sats)
     counts = tuple(int((sat == s).sum()) for s in sats)
     return IORTestResult(
@@ -715,63 +723,132 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     )
 
 
+def _row_fault(sat: float, z: int, d: int, y: float) -> str | None:
+    """The first per-row check a parsed data row fails, in the order they are made."""
+    if z not in (0, 1) or d not in (0, 1):
+        return "z and d must be 0 or 1"
+    if d > z:
+        return "one-sided compliance violated (d=1 with z=0)"
+    if not 0.0 <= sat <= 1.0:
+        return f"saturation {sat} outside [0, 1]"
+    if not math.isfinite(y):
+        return "outcome must be finite"
+    return None
+
+
+def _read_records(path, max_rows: int | None) -> np.ndarray:
+    """The data records after the header, parsed in C."""
+    if max_rows == 0:
+        return np.empty(0, dtype=_CSV_DTYPE)
+    return np.loadtxt(
+        path, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"', skiprows=1,
+        ndmin=1, max_rows=max_rows, encoding="utf-8",
+    )
+
+
+def _group_records(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct group ids, the index of each one's first record and each record's group.
+
+    Raises for the first record in file order that fails a per-row check.
+    """
+    ids, first, inverse = np.unique(rec["group_id"], return_index=True, return_inverse=True)
+    sat, z, d, y = rec["saturation"], rec["z"], rec["d"], rec["y"]
+    bad = (
+        (z < 0) | (z > 1) | (d < 0) | (d > 1) | (d > z)
+        | ~((sat >= 0.0) & (sat <= 1.0))
+        | ~np.isfinite(y)
+        | (sat != sat[first][inverse])
+    )
+    if bad.any():
+        i = int(np.argmax(bad))
+        fault = _row_fault(float(sat[i]), int(z[i]), int(d[i]), float(y[i]))
+        if fault is None:
+            fault = f"saturation differs within group {int(rec['group_id'][i])}"
+        raise ValidationError(f"row {i + 2}: {fault}")
+    return ids, first, inverse
+
+
+def _parse_fault(body: str, index: int, exc: ValueError) -> str:
+    """Why record ``index`` did not parse: its field count, the failing
+    ``int``/``float`` conversion or per-row check, else numpy's reason."""
+    fields = next(itertools.islice(csv.reader(io.StringIO(body)), index, None))
+    if len(fields) != 5:
+        return f"expected 5 fields, got {len(fields)}"
+    try:
+        _, sat, z, d, y = (convert(v) for convert, v in zip((int, float, int, int, float), fields))
+    except ValueError as err:
+        return str(err)
+    return _row_fault(sat, z, d, y) or str(exc).split(" at row ")[0]
+
+
+def _failed_record(exc: ValueError) -> int:
+    """The 0-based record index a ``np.loadtxt`` parse error names.
+
+    numpy counts from 0 in conversion errors and from 1 in field-count errors.
+    """
+    found = re.search(r" at row (\d+)", str(exc))
+    if found is None:
+        raise ValidationError(f"malformed data file: {exc}") from None
+    row = int(found.group(1))
+    return row - 1 if "columns but" in str(exc) else row
+
+
 def ingest_csv(path) -> ExperimentData:
-    """Read the data CSV (header group_id,saturation,z,d,y), validating each row."""
-    groups: dict[int, dict] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ValidationError(
-                f"bad header {header}; expected {','.join(CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise ValidationError(f"row {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                gid = int(row[0])
-                sat = float(row[1])
-                z = int(row[2])
-                d = int(row[3])
-                y = float(row[4])
-            except ValueError as exc:
-                raise ValidationError(f"row {lineno}: {exc}") from None
-            if z not in (0, 1) or d not in (0, 1):
-                raise ValidationError(f"row {lineno}: z and d must be 0 or 1")
-            if d > z:
-                raise ValidationError(
-                    f"row {lineno}: one-sided compliance violated (d=1 with z=0)"
-                )
-            if not 0.0 <= sat <= 1.0:
-                raise ValidationError(f"row {lineno}: saturation {sat} outside [0, 1]")
-            if not math.isfinite(y):
-                raise ValidationError(f"row {lineno}: outcome must be finite")
-            rec = groups.get(gid)
-            if rec is None:
-                groups[gid] = {"sat": sat, "z": [z], "d": [d], "y": [y], "line": lineno}
-            else:
-                if rec["sat"] != sat:
-                    raise ValidationError(
-                        f"row {lineno}: saturation differs within group {gid}"
-                    )
-                rec["z"].append(z)
-                rec["d"].append(d)
-                rec["y"].append(y)
-    if not groups:
-        raise ValidationError("data file contains no rows")
-    out = []
-    for gid, rec in groups.items():
-        if len(rec["z"]) < 2:
-            raise ValidationError(
-                f"group {gid} has a single member (first row {rec['line']}); need at least two"
-            )
-        out.append(
-            GroupData(
-                group_id=gid,
-                saturation=rec["sat"],
-                z=np.array(rec["z"], dtype=np.int8),
-                d=np.array(rec["d"], dtype=np.int8),
-                y=np.array(rec["y"], dtype=float),
-            )
+    """Read the data CSV (header group_id,saturation,z,d,y), validating each row.
+
+    A faulty file is rejected naming its first faulty row (the header is
+    row 1) and the first check that row fails: five fields (a blank line has
+    none), integer group id, z and d and float saturation and y, binary z
+    and d, d <= z, saturation in [0, 1], finite y, and the saturation of the
+    group's first row.  Then every group needs at least two rows.  Groups
+    keep the order of their first row, and rows their file order.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    header = next(csv.reader([head])) if text else None
+    if header is None or tuple(header) != CSV_HEADER:
+        raise ValidationError(
+            f"bad header {header}; expected {','.join(CSV_HEADER)}"
         )
-    return ExperimentData(out)
+    if not body:
+        raise ValidationError("data file contains no rows")
+    # np.loadtxt skips blank lines; read only the records before the first one.
+    at = ("\n" + body).find("\n\n")
+    blank = None if at < 0 else body.count("\n", 0, at)
+    try:
+        rec = _read_records(path, blank)
+    except ValueError as exc:
+        index = _failed_record(exc)
+        _group_records(_read_records(path, index))
+        raise ValidationError(f"row {index + 2}: {_parse_fault(body, index, exc)}") from None
+    ids, first, inverse = _group_records(rec)
+    if blank is not None:
+        raise ValidationError(f"row {blank + 2}: expected 5 fields, got 0")
+
+    by_first = np.argsort(first)
+    position = np.empty_like(by_first)
+    position[by_first] = np.arange(len(ids))
+    group_of = position[inverse]
+    sizes = np.bincount(group_of)
+    if (sizes < 2).any():
+        j = by_first[int(np.argmax(sizes < 2))]
+        raise ValidationError(
+            f"group {int(ids[j])} has a single member (first row {int(first[j]) + 2}); "
+            "need at least two"
+        )
+    order = np.argsort(group_of, kind="stable")
+    z = rec["z"][order].astype(np.int8)
+    d = rec["d"][order].astype(np.int8)
+    y = rec["y"][order]
+    ends = np.cumsum(sizes).tolist()
+    groups = [
+        GroupData(group_id=gid, saturation=sat, z=z[a:b], d=d[a:b], y=y[a:b])
+        for gid, sat, a, b in zip(
+            ids[by_first].tolist(),
+            rec["saturation"][first[by_first]].tolist(),
+            [0] + ends[:-1],
+            ends,
+        )
+    ]
+    return ExperimentData(groups, check=False)

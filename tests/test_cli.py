@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from sativ.cli import main, write_data_csv
+from sativ import effects, estimator
+from sativ.cli import design_from_config, load_config, main, write_data_csv, write_latent_csv
 from sativ.design import SaturationDesign
 from sativ.dgp import SimConfig, simulate_experiment
 from sativ.estimator import ingest_csv
+from sativ.model import linear_basis
 
 
 @pytest.fixture
@@ -48,6 +50,48 @@ class TestRoundTrip:
             assert np.array_equal(a.z, b.z)
             assert np.array_equal(a.d, b.d)
             assert np.array_equal(a.y, b.y)  # bit-exact via repr round trip
+
+
+def _reference_data_csv(data, path):
+    """Row-at-a-time writer of the data schema: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("group_id,saturation,z,d,y\n")
+        for g in data.groups:
+            sat = repr(float(g.saturation))
+            for i in range(g.n):
+                fh.write(f"{g.group_id},{sat},{int(g.z[i])},{int(g.d[i])},{float(g.y[i])!r}\n")
+
+
+def _reference_latent_csv(data, path):
+    """Row-at-a-time writer of the latent schema: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("group_id,complier,alpha,beta,gamma,delta\n")
+        for g in data.groups:
+            for i in range(g.n):
+                a, b, c, d = (float(v) for v in g.coefs[i])
+                fh.write(f"{g.group_id},{int(g.complier[i])},{a!r},{b!r},{c!r},{d!r}\n")
+
+
+class TestWriters:
+    @pytest.mark.parametrize(
+        "write, reference",
+        [(write_data_csv, _reference_data_csv), (write_latent_csv, _reference_latent_csv)],
+    )
+    def test_bytes_match_row_reference(self, tmp_path, write, reference):
+        cfg = SimConfig(
+            G=25, n=13,
+            design=SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (5,) * 5),
+            means=(0.5, 0.2, -0.7, 0.8), sigma=(0.3, 0.3, 0.2, 0.4),
+            kappa=(0.0, 0.0, 1.2, 1.5), seed=17,
+        )
+        data = simulate_experiment(cfg)
+        # a hand-made group with other dtypes: bool flags, float z/d, float32 y
+        g = data.groups[0]
+        g.complier = g.complier.astype(bool)
+        g.z, g.d, g.y = g.z.astype(float), g.d.astype(float), g.y.astype(np.float32)
+        write(data, tmp_path / "fast.csv")
+        reference(data, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestSubcommands:
@@ -116,6 +160,47 @@ class TestSubcommands:
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert "DE_treated" in kinds
         assert "potential_outcome_line:treated_complier" in kinds
+
+    def test_effects_pure_control_flag(self, config_path, tmp_path):
+        cfg = json.loads(open(config_path).read())
+        cfg["estimation"] = {"pure_control": "gmm"}  # the flag takes precedence
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        data_path = str(tmp_path / "data.csv")
+        main(["simulate", "--config", config_path, "--out", data_path])
+        data = ingest_csv(data_path)
+        design = design_from_config(load_config(config_path))
+        for policy in ("drop", "gmm"):
+            out = str(tmp_path / f"curves-{policy}.csv")
+            assert main([
+                "effects", "--config", config_path, "--data", data_path, "--out", out,
+                "--pure-control", policy,
+            ]) == 0
+            res = estimator.estimate_all(
+                data, linear_basis(), design, pure_control=policy, include_naive=False
+            )
+            curve = effects.effect_curve(
+                res[estimator.TARGET_JOINT], effects.KIND_DE_TREATED,
+                effects.default_grid(), basis=linear_basis(),
+            )
+            expect = [
+                ",".join([curve.kind] + [repr(float(v)) for v in vals])
+                for vals in zip(curve.grid, curve.point, curve.se, curve.ci_low, curve.ci_high)
+            ]
+            lines = open(out).read().splitlines()
+            assert [ln for ln in lines if ln.startswith("DE_treated,")] == expect
+            meta = json.loads(open(out + ".meta.json").read())
+            assert set(meta["diagnostics"]) == set(res)
+            for target, r in res.items():
+                assert meta["diagnostics"][target] == {
+                    "pure_control": r.diagnostics.pure_control,
+                    "n_chat_fallback": r.diagnostics.n_chat_fallback,
+                    "n_instrument_keys": r.diagnostics.n_instrument_keys,
+                    "n_pseudo_inverted": r.diagnostics.n_pseudo_inverted,
+                }
+            assert meta["diagnostics"]["joint"]["pure_control"] == policy
+        drop = open(tmp_path / "curves-drop.csv").read()
+        assert drop != open(tmp_path / "curves-gmm.csv").read()
 
     def test_montecarlo_report(self, config_path, tmp_path):
         out = str(tmp_path / "mc.json")

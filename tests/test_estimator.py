@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import f as f_dist
 
+import sativ
 from sativ.design import SaturationDesign
 from sativ.dgp import ExperimentData, GroupData, SimConfig, oracle_subpopulation_means, simulate_experiment
 from sativ.errors import ValidationError
@@ -353,6 +360,37 @@ class TestIORTest:
         assert res.wald == pytest.approx(float(ftest.fvalue) * res.df, rel=1e-8)
         assert res.p_value == pytest.approx(float(ftest.pvalue), rel=1e-6)
 
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_p_value_is_f_survival(self, seed):
+        res = ior_test(simulate_experiment(noisy_sec6_config(seed=seed)))
+        expect = f_dist.sf(res.wald / res.df, res.df, res.n_clusters - 1)
+        assert res.p_value == expect
+
+    def test_negative_wald_gives_p_one(self, monkeypatch):
+        # vb is PSD in exact arithmetic; flip the sign of the Wald solve to
+        # stand for a numerically indefinite one
+        solve = np.linalg.solve
+        calls = []
+
+        def flipped(a, b):
+            calls.append(a)
+            return -solve(a, b) if len(calls) == 2 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flipped)
+        res = ior_test(simulate_experiment(noisy_sec6_config(G=50, n=30, seed=61)))
+        assert len(calls) == 2
+        assert res.wald < 0.0
+        assert res.p_value == 1.0
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, sativ, sativ.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(sativ.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
     def test_power_against_saturation_dependent_take_up(self):
         # violation fixture: take-up probability c * (0.5 + 0.5 s)
         rng = substream(81)
@@ -482,3 +520,110 @@ class TestIngestCsv(object):
         text = "group_id,saturation,z,d,y\n0,0.5,2,0,0.1\n0,0.5,0,0,0.1\n"
         with pytest.raises(ValidationError, match="row 2"):
             ingest_csv(self._write(tmp_path, text))
+
+    GOOD = "0,0.5,1,0,0.1\n0,0.5,0,0,0.3\n"
+
+    def _rejects(self, tmp_path, body, match):
+        with pytest.raises(ValidationError, match=match):
+            ingest_csv(self._write(tmp_path, "group_id,saturation,z,d,y\n" + body))
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("0,abc,0,0,0.3", "could not convert string to float: 'abc'"),
+            ("0,0.5,0,0,x", "could not convert string to float: 'x'"),
+            ("0,0.5,1.0,0,0.3", r"invalid literal for int\(\) with base 10: '1.0'"),
+            ("zero,0.5,0,0,0.3", r"invalid literal for int\(\) with base 10: 'zero'"),
+            ("0,0.5,0,0,", "could not convert string to float: ''"),
+            ("0,0.5,0,0", "expected 5 fields, got 4"),
+            ("0,0.5,0,0,0.3,1", "expected 5 fields, got 6"),
+            ("", "expected 5 fields, got 0"),
+            ("0,0.5,0,0,nan", "outcome must be finite"),
+            ("0,0.5,0,0,inf", "outcome must be finite"),
+            ("0,0.5,0,0,-Infinity", "outcome must be finite"),
+            ("1,1.5,0,0,0.3", r"saturation 1.5 outside \[0, 1\]"),
+            ("1,nan,0,0,0.3", r"saturation nan outside \[0, 1\]"),
+            ("0,0.5,0,-1,0.3", "z and d must be 0 or 1"),
+        ],
+    )
+    @pytest.mark.parametrize("line", [2, 3, 5])
+    def test_bad_line_named(self, tmp_path, bad, reason, line):
+        # the fault on the first data line, mid-file and on the last line
+        before = (self.GOOD * 2).splitlines(keepends=True)[: line - 2]
+        after = "" if line == 5 else "0,0.5,0,0,0.4\n"
+        self._rejects(tmp_path, "".join(before) + bad + "\n" + after, f"^row {line}: {reason}$")
+
+    def test_blank_line_mid_file(self, tmp_path):
+        self._rejects(tmp_path, "0,0.5,1,0,0.1\n\n0,0.5,0,0,0.3\n", "^row 3: expected 5 fields, got 0$")
+
+    def test_only_blank_line(self, tmp_path):
+        self._rejects(tmp_path, "\n", "^row 2: expected 5 fields, got 0$")
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            # a non-finite outcome before an unparsable line
+            ("0,0.5,1,0,inf\n0,0.5,x,0,0.3\n", "^row 2: outcome must be finite$"),
+            # an unparsable line before a compliance violation
+            ("0,0.5,1,0,0.1\n0,0.5,x,0,0.3\n0,0.5,0,1,0.3\n", "^row 3: invalid literal"),
+            # a saturation change within a group before a short line
+            ("0,0.5,1,0,0.1\n0,0.25,0,0,0.3\n0,0.5\n", "^row 3: saturation differs within group 0$"),
+            # a compliance violation before a blank line
+            ("0,0.5,1,0,0.1\n0,0.5,0,1,0.3\n\n", r"^row 3: one-sided compliance violated \(d=1 with z=0\)$"),
+            # a blank line before a non-finite outcome
+            ("0,0.5,1,0,0.1\n\n0,0.5,0,0,nan\n", "^row 3: expected 5 fields, got 0$"),
+            # two faults on one line: the check made first names it
+            ("0,0.5,1,0,0.1\n0,2.0,0,1,nan\n", r"^row 3: one-sided compliance violated"),
+        ],
+    )
+    def test_earliest_of_two_faults_named(self, tmp_path, body, match):
+        self._rejects(tmp_path, body, match)
+
+    def test_row_faults_come_before_group_faults(self, tmp_path):
+        self._rejects(tmp_path, "0,0.5,1,0,0.1\n1,0.5,1,0,0.1\n0,0.5,0,0,x\n", "^row 4: ")
+        self._rejects(
+            tmp_path,
+            "0,0.5,1,0,0.1\n1,0.25,1,0,0.1\n0,0.5,0,0,0.3\n",
+            r"^group 1 has a single member \(first row 3\); need at least two$",
+        )
+
+    @pytest.mark.parametrize("text", ["", "group_id,saturation,z,d\n0,0.5,1,0\n"])
+    def test_missing_or_short_header(self, tmp_path, text):
+        with pytest.raises(ValidationError, match="^bad header"):
+            ingest_csv(self._write(tmp_path, text))
+
+    def test_header_only(self, tmp_path):
+        self._rejects(tmp_path, "", "^data file contains no rows$")
+
+    def test_interleaved_groups(self, tmp_path):
+        text = (
+            "group_id,saturation,z,d,y\n"
+            "7,0.25,1,1,0.5\n"
+            "-3,0.75,0,0,1.25\n"
+            "7,0.25,0,0,-2.0\n"
+            "12,0.0,0,0,3e-300\n"
+            "-3,0.75,1,0,0.1\n"
+            "7,0.25,1,0,0.30000000000000004\n"
+            "12,0.0,0,0,-0.0\n"
+        )
+        data = ingest_csv(self._write(tmp_path, text))
+        assert [g.group_id for g in data.groups] == [7, -3, 12]
+        assert all(type(g.group_id) is int for g in data.groups)
+        assert [g.saturation for g in data.groups] == [0.25, 0.75, 0.0]
+        assert all(type(g.saturation) is float for g in data.groups)
+        expect = {
+            7: ([1, 0, 1], [1, 0, 0], [0.5, -2.0, 0.30000000000000004]),
+            -3: ([0, 1], [0, 0], [1.25, 0.1]),
+            12: ([0, 0], [0, 0], [3e-300, -0.0]),
+        }
+        for g in data.groups:
+            z, d, y = expect[g.group_id]
+            assert g.z.dtype == np.int8 and g.d.dtype == np.int8 and g.y.dtype == np.float64
+            assert g.z.tolist() == z and g.d.tolist() == d
+            assert np.array_equal(g.y.view(np.int64), np.array(y).view(np.int64))
+
+    def test_crlf_and_padding_accepted(self, tmp_path):
+        text = "group_id,saturation,z,d,y\r\n0, 0.5,1 ,0,0.1\r\n+0,0.5,0,0, 0.3\r\n"
+        data = ingest_csv(self._write(tmp_path, text))
+        assert data.groups[0].y.tolist() == [0.1, 0.3]
+        assert data.groups[0].z.tolist() == [1, 0]
