@@ -235,7 +235,7 @@ def _cmd_effects(args) -> int:
     basis = basis_from_config(cfg)
     est_block = cfg.get("estimation", {})
     _check_keys(est_block, _ESTIMATION_KEYS, "estimation")
-    pure_control = args.pure_control or est_block.get("pure_control", "gmm")
+    pure_control = est_block.get("pure_control", "gmm")
     data = estimator.ingest_csv(args.data)
     res = estimator.estimate_all(
         data, basis, design, pure_control=pure_control, include_naive=False
@@ -366,7 +366,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=effects.DEFAULT_DELTA)
     p.add_argument("--grid-points", type=int, default=effects.DEFAULT_GRID_POINTS)
-    p.add_argument("--pure-control", choices=("drop", "gmm"), dest="pure_control")
     p.set_defaults(func=_cmd_effects)
 
     p = sub.add_parser("montecarlo", help="replication study: bias, SD, coverage")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
-import re
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 from scipy.special import fdtrc
@@ -707,9 +707,7 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     vb = vcov[1:, 1:]
     wald = float(b @ np.linalg.solve(vb, b))
     df = len(sats) - 1
-    # fdtrc is F(df, G-1).sf but gives nan below 0, where a numerically
-    # indefinite vb can put the Wald statistic.
-    p = float(fdtrc(df, n_clusters - 1, max(wald / df, 0.0)))
+    p = _f_sf(wald / df, df, n_clusters - 1)
     rates = tuple(float(d[sat == s].mean()) for s in sats)
     counts = tuple(int((sat == s).sum()) for s in sats)
     return IORTestResult(
@@ -723,74 +721,56 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     )
 
 
-def _row_fault(sat: float, z: int, d: int, y: float) -> str | None:
-    """The first per-row check a parsed data row fails, in the order they are made."""
-    if z not in (0, 1) or d not in (0, 1):
-        return "z and d must be 0 or 1"
-    if d > z:
-        return "one-sided compliance violated (d=1 with z=0)"
-    if not 0.0 <= sat <= 1.0:
-        return f"saturation {sat} outside [0, 1]"
-    if not math.isfinite(y):
-        return "outcome must be finite"
-    return None
+def _f_sf(x: float, df1: int, df2: int) -> float:
+    """The survival function of F(df1, df2) at x, and 1 for x < 0.
 
-
-def _read_records(path, max_rows: int | None) -> np.ndarray:
-    """The data records after the header, parsed in C."""
-    if max_rows == 0:
-        return np.empty(0, dtype=_CSV_DTYPE)
-    return np.loadtxt(
-        path, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"', skiprows=1,
-        ndmin=1, max_rows=max_rows, encoding="utf-8",
-    )
-
-
-def _group_records(rec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct group ids, the index of each one's first record and each record's group.
-
-    Raises for the first record in file order that fails a per-row check.
+    ``fdtrc`` is what ``scipy.stats.f.sf`` calls, but it gives nan below 0,
+    where a numerically indefinite covariance can put a Wald statistic.
     """
-    ids, first, inverse = np.unique(rec["group_id"], return_index=True, return_inverse=True)
-    sat, z, d, y = rec["saturation"], rec["z"], rec["d"], rec["y"]
-    bad = (
-        (z < 0) | (z > 1) | (d < 0) | (d > 1) | (d > z)
-        | ~((sat >= 0.0) & (sat <= 1.0))
-        | ~np.isfinite(y)
-        | (sat != sat[first][inverse])
-    )
-    if bad.any():
-        i = int(np.argmax(bad))
-        fault = _row_fault(float(sat[i]), int(z[i]), int(d[i]), float(y[i]))
-        if fault is None:
-            fault = f"saturation differs within group {int(rec['group_id'][i])}"
-        raise ValidationError(f"row {i + 2}: {fault}")
-    return ids, first, inverse
+    return float(fdtrc(df1, df2, max(x, 0.0)))
 
 
-def _parse_fault(body: str, index: int, exc: ValueError) -> str:
-    """Why record ``index`` did not parse: its field count, the failing
-    ``int``/``float`` conversion or per-row check, else numpy's reason."""
-    fields = next(itertools.islice(csv.reader(io.StringIO(body)), index, None))
-    if len(fields) != 5:
-        return f"expected 5 fields, got {len(fields)}"
-    try:
-        _, sat, z, d, y = (convert(v) for convert, v in zip((int, float, int, int, float), fields))
-    except ValueError as err:
-        return str(err)
-    return _row_fault(sat, z, d, y) or str(exc).split(" at row ")[0]
+def _reject_rows(body: str) -> NoReturn:
+    """Check the data rows one at a time and raise for the first fault.
 
-
-def _failed_record(exc: ValueError) -> int:
-    """The 0-based record index a ``np.loadtxt`` parse error names.
-
-    numpy counts from 0 in conversion errors and from 1 in field-count errors.
+    The slow twin of ``ingest_csv``'s vectorized checks, run only on a file
+    that fails them, so that the error names the faulty row and reason.
     """
-    found = re.search(r" at row (\d+)", str(exc))
-    if found is None:
-        raise ValidationError(f"malformed data file: {exc}") from None
-    row = int(found.group(1))
-    return row - 1 if "columns but" in str(exc) else row
+    groups: dict[int, list] = {}  # group id -> [saturation, first row, size]
+    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
+        if len(row) != 5:
+            raise ValidationError(f"row {lineno}: expected 5 fields, got {len(row)}")
+        try:
+            gid = int(row[0])
+            sat = float(row[1])
+            z = int(row[2])
+            d = int(row[3])
+            y = float(row[4])
+        except ValueError as exc:
+            raise ValidationError(f"row {lineno}: {exc}") from None
+        if z not in (0, 1) or d not in (0, 1):
+            raise ValidationError(f"row {lineno}: z and d must be 0 or 1")
+        if d > z:
+            raise ValidationError(
+                f"row {lineno}: one-sided compliance violated (d=1 with z=0)"
+            )
+        if not 0.0 <= sat <= 1.0:
+            raise ValidationError(f"row {lineno}: saturation {sat} outside [0, 1]")
+        if not math.isfinite(y):
+            raise ValidationError(f"row {lineno}: outcome must be finite")
+        rec = groups.setdefault(gid, [sat, lineno, 0])
+        if rec[0] != sat:
+            raise ValidationError(f"row {lineno}: saturation differs within group {gid}")
+        rec[2] += 1
+    for gid, (_, line, size) in groups.items():
+        if size < 2:
+            raise ValidationError(
+                f"group {gid} has a single member (first row {line}); need at least two"
+            )
+    raise ValidationError(
+        "data file holds a number numpy does not parse: a digit separator (1_0), "
+        "a non-ASCII digit or an integer beyond 64 bits"
+    )
 
 
 def ingest_csv(path) -> ExperimentData:
@@ -813,40 +793,45 @@ def ingest_csv(path) -> ExperimentData:
         )
     if not body:
         raise ValidationError("data file contains no rows")
-    # np.loadtxt skips blank lines; read only the records before the first one.
-    at = ("\n" + body).find("\n\n")
-    blank = None if at < 0 else body.count("\n", 0, at)
+    if "\n\n" in "\n" + body:  # np.loadtxt would skip the blank line
+        _reject_rows(body)
     try:
-        rec = _read_records(path, blank)
-    except ValueError as exc:
-        index = _failed_record(exc)
-        _group_records(_read_records(path, index))
-        raise ValidationError(f"row {index + 2}: {_parse_fault(body, index, exc)}") from None
-    ids, first, inverse = _group_records(rec)
-    if blank is not None:
-        raise ValidationError(f"row {blank + 2}: expected 5 fields, got 0")
+        # numpy releases before 2.0 only warn, and truncate, on "1.5" in an int column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rec = np.loadtxt(
+                io.StringIO(body), dtype=_CSV_DTYPE, delimiter=",", comments=None,
+                quotechar='"', ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        _reject_rows(body)
 
+    ids, first, inverse = np.unique(rec["group_id"], return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     position = np.empty_like(by_first)
     position[by_first] = np.arange(len(ids))
     group_of = position[inverse]
     sizes = np.bincount(group_of)
-    if (sizes < 2).any():
-        j = by_first[int(np.argmax(sizes < 2))]
-        raise ValidationError(
-            f"group {int(ids[j])} has a single member (first row {int(first[j]) + 2}); "
-            "need at least two"
-        )
+    sat, z, d, y = rec["saturation"], rec["z"], rec["d"], rec["y"]
+    bad = (
+        (z < 0) | (z > 1) | (d < 0) | (d > 1) | (d > z)
+        | ~((sat >= 0.0) & (sat <= 1.0))
+        | ~np.isfinite(y)
+        | (sat != sat[first][inverse])
+    )
+    if bad.any() or (sizes < 2).any():
+        _reject_rows(body)
+
     order = np.argsort(group_of, kind="stable")
-    z = rec["z"][order].astype(np.int8)
-    d = rec["d"][order].astype(np.int8)
-    y = rec["y"][order]
+    z = z[order].astype(np.int8)
+    d = d[order].astype(np.int8)
+    y = y[order]
     ends = np.cumsum(sizes).tolist()
     groups = [
-        GroupData(group_id=gid, saturation=sat, z=z[a:b], d=d[a:b], y=y[a:b])
-        for gid, sat, a, b in zip(
+        GroupData(group_id=gid, saturation=s, z=z[a:b], d=d[a:b], y=y[a:b])
+        for gid, s, a, b in zip(
             ids[by_first].tolist(),
-            rec["saturation"][first[by_first]].tolist(),
+            sat[first[by_first]].tolist(),
             [0] + ends[:-1],
             ends,
         )

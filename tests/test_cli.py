@@ -161,46 +161,40 @@ class TestSubcommands:
         assert "DE_treated" in kinds
         assert "potential_outcome_line:treated_complier" in kinds
 
-    def test_effects_pure_control_flag(self, config_path, tmp_path):
+    @pytest.mark.parametrize("policy", ["drop", "gmm"])
+    def test_effects_pure_control_config(self, config_path, tmp_path, policy):
         cfg = json.loads(open(config_path).read())
-        cfg["estimation"] = {"pure_control": "gmm"}  # the flag takes precedence
+        cfg["estimation"] = {"pure_control": policy}
         with open(config_path, "w") as fh:
             json.dump(cfg, fh)
         data_path = str(tmp_path / "data.csv")
         main(["simulate", "--config", config_path, "--out", data_path])
-        data = ingest_csv(data_path)
-        design = design_from_config(load_config(config_path))
-        for policy in ("drop", "gmm"):
-            out = str(tmp_path / f"curves-{policy}.csv")
-            assert main([
-                "effects", "--config", config_path, "--data", data_path, "--out", out,
-                "--pure-control", policy,
-            ]) == 0
-            res = estimator.estimate_all(
-                data, linear_basis(), design, pure_control=policy, include_naive=False
-            )
-            curve = effects.effect_curve(
-                res[estimator.TARGET_JOINT], effects.KIND_DE_TREATED,
-                effects.default_grid(), basis=linear_basis(),
-            )
-            expect = [
-                ",".join([curve.kind] + [repr(float(v)) for v in vals])
-                for vals in zip(curve.grid, curve.point, curve.se, curve.ci_low, curve.ci_high)
-            ]
-            lines = open(out).read().splitlines()
-            assert [ln for ln in lines if ln.startswith("DE_treated,")] == expect
-            meta = json.loads(open(out + ".meta.json").read())
-            assert set(meta["diagnostics"]) == set(res)
-            for target, r in res.items():
-                assert meta["diagnostics"][target] == {
-                    "pure_control": r.diagnostics.pure_control,
-                    "n_chat_fallback": r.diagnostics.n_chat_fallback,
-                    "n_instrument_keys": r.diagnostics.n_instrument_keys,
-                    "n_pseudo_inverted": r.diagnostics.n_pseudo_inverted,
-                }
-            assert meta["diagnostics"]["joint"]["pure_control"] == policy
-        drop = open(tmp_path / "curves-drop.csv").read()
-        assert drop != open(tmp_path / "curves-gmm.csv").read()
+        out = str(tmp_path / "curves.csv")
+        assert main(["effects", "--config", config_path, "--data", data_path, "--out", out]) == 0
+        res = estimator.estimate_all(
+            ingest_csv(data_path), linear_basis(), design_from_config(load_config(config_path)),
+            pure_control=policy, include_naive=False,
+        )
+        curve = effects.effect_curve(
+            res[estimator.TARGET_JOINT], effects.KIND_DE_TREATED,
+            effects.default_grid(), basis=linear_basis(),
+        )
+        expect = [
+            ",".join([curve.kind] + [repr(float(v)) for v in vals])
+            for vals in zip(curve.grid, curve.point, curve.se, curve.ci_low, curve.ci_high)
+        ]
+        lines = open(out).read().splitlines()
+        assert [ln for ln in lines if ln.startswith("DE_treated,")] == expect
+        meta = json.loads(open(out + ".meta.json").read())
+        assert set(meta["diagnostics"]) == set(res)
+        for target, r in res.items():
+            assert meta["diagnostics"][target] == {
+                "pure_control": r.diagnostics.pure_control,
+                "n_chat_fallback": r.diagnostics.n_chat_fallback,
+                "n_instrument_keys": r.diagnostics.n_instrument_keys,
+                "n_pseudo_inverted": r.diagnostics.n_pseudo_inverted,
+            }
+        assert meta["diagnostics"]["joint"]["pure_control"] == policy
 
     def test_montecarlo_report(self, config_path, tmp_path):
         out = str(tmp_path / "mc.json")
