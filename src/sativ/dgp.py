@@ -109,14 +109,26 @@ def draw_coefficient(
     cbar_ig = np.asarray(cbar_ig, dtype=float)
     if sigma_j == 0.0:
         return np.full(cbar_ig.shape, mean)
-    scale = math.sqrt(kappa_j**2 + 1.0)
     u = rng.standard_normal(cbar_ig.shape)
+    return _coefficient(mean, kappa_j, sigma_j, cbar_ig, cbar_moments, u)
+
+
+def _coefficient(
+    mean: float,
+    kappa_j: float,
+    sigma_j: float,
+    cbar: np.ndarray,
+    cbar_moments: tuple[float, float],
+    u: np.ndarray,
+) -> np.ndarray:
+    """``draw_coefficient``'s formula, given its standard normal draws u (sigma_j > 0)."""
+    scale = math.sqrt(kappa_j**2 + 1.0)
     if kappa_j == 0.0:
         return mean + sigma_j * u / scale
     mu, sd = cbar_moments
     if sd <= 0.0:
         raise ValidationError("share distribution is degenerate but kappa is nonzero")
-    z = (cbar_ig - mu) / sd
+    z = (cbar - mu) / sd
     return mean + sigma_j * (z * kappa_j / scale + u / scale)
 
 
@@ -206,6 +218,15 @@ class ExperimentData:
         return np.concatenate([g.y for g in self.groups]).astype(float)
 
     @cached_property
+    def row_order(self) -> np.ndarray:
+        """The canonical row order: by group, z, d and y, ties in data order.
+
+        Estimators sum over rows in this order, so their results do not
+        depend on the order of individuals within a group.
+        """
+        return np.lexsort((self.y, self.d, self.z, self.group_index))
+
+    @cached_property
     def saturation(self) -> np.ndarray:
         """Per-row saturation."""
         return np.repeat([g.saturation for g in self.groups], self.sizes)
@@ -218,11 +239,6 @@ class ExperimentData:
         """Per-group sums of a per-row array, expanded back to rows."""
         sums = np.add.reduceat(values, self.starts)
         return sums[self.group_index]
-
-    @cached_property
-    def dbar(self) -> np.ndarray:
-        """Leave-one-out neighbor take-up share."""
-        return (self.group_sum(self.d) - self.d) / (self.n_per_row - 1)
 
     @property
     def has_latent(self) -> bool:
@@ -245,46 +261,63 @@ class ExperimentData:
         return any(g.saturation == 0.0 for g in self.groups)
 
 
-def simulate_group(
-    cfg: SimConfig,
-    group_id: int,
-    saturation: float,
-    _moments: tuple[float, float] | None = None,
-) -> GroupData:
-    """Simulate one group; reproducible from (cfg.seed, group_id) alone."""
-    rng = substream(cfg.seed, TAG_GROUP, group_id)
+def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
+    """Simulate groups of size cfg.n, each from its own (cfg.seed, group id) stream.
+
+    Per group the stream gives, in this order: the share draw, the complier
+    positions, the offers and one normal draw per member for each
+    coefficient with sigma > 0.  Only the draws are made group by group;
+    everything computed from them is done once for all groups, and each
+    group holds row views of the shared (groups, n) arrays.
+    """
     n = cfg.n
-    moments = share_moments(cfg) if _moments is None else _moments
+    noisy = [j for j in range(4) if cfg.sigma[j] != 0.0]
+    n_groups = len(group_ids)
+    share_u = np.empty(n_groups)
+    perm = np.empty((n_groups, n), dtype=np.intp)
+    z = np.empty((n_groups, n), dtype=np.int8)
+    u = np.empty((n_groups, len(noisy), n))
+    for r, (gid, s) in enumerate(zip(group_ids, saturations)):
+        rng = substream(cfg.seed, TAG_GROUP, gid)
+        share_u[r] = rng.random()
+        perm[r] = rng.permutation(n)
+        z[r] = design_mod.assign_offers(n, s, rng)
+        if noisy:
+            rng.standard_normal(out=u[r])
 
-    idx = int(np.searchsorted(np.cumsum(cfg.probs), rng.random(), side="right"))
-    idx = min(idx, len(cfg.complier_shares) - 1)
-    k = cfg.complier_counts[idx]
-    c = np.zeros(n, dtype=np.int8)
-    c[rng.permutation(n)[:k]] = 1
-
-    z = design_mod.assign_offers(n, saturation, rng)
-    d = (c * z).astype(np.int8)
+    idx = np.searchsorted(np.cumsum(cfg.probs), share_u, side="right")
+    idx = np.minimum(idx, len(cfg.complier_shares) - 1)
+    k = np.asarray(cfg.complier_counts)[idx][:, None]
+    c = np.zeros((n_groups, n), dtype=np.int8)
+    # the first k positions of a group's permutation are its compliers
+    c[np.arange(n_groups)[:, None], perm] = np.arange(n) < k
+    d = c * z
 
     cbar = (k - c.astype(float)) / (n - 1)
-    coefs = np.empty((n, 4))
-    for j in range(4):
-        coefs[:, j] = draw_coefficient(
-            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng
+    moments = share_moments(cfg)
+    coefs = np.full((n_groups, n, 4), cfg.means)
+    for i, j in enumerate(noisy):
+        coefs[:, :, j] = _coefficient(
+            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, u[:, i]
         )
-    dbar = (d.sum() - d) / (n - 1)
-    y = coefs[:, 0] + coefs[:, 1] * d + coefs[:, 2] * dbar + coefs[:, 3] * d * dbar
-    return GroupData(group_id, float(saturation), z, d, y, complier=c, coefs=coefs)
+    dbar = (d.sum(axis=1, keepdims=True) - d) / (n - 1)
+    y = coefs[..., 0] + coefs[..., 1] * d + coefs[..., 2] * dbar + coefs[..., 3] * d * dbar
+    return [
+        GroupData(gid, float(s), z[r], d[r], y[r], complier=c[r], coefs=coefs[r])
+        for r, (gid, s) in enumerate(zip(group_ids, saturations))
+    ]
+
+
+def simulate_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupData:
+    """Simulate one group; reproducible from (cfg.seed, group_id) alone."""
+    return _simulate_groups(cfg, [group_id], [saturation])[0]
 
 
 def simulate_experiment(cfg: SimConfig) -> ExperimentData:
     """Simulate the full experiment: saturations, compliers, offers, outcomes."""
     rng_sat = substream(cfg.seed, TAG_SATURATIONS)
     saturations = design_mod.sample_saturations(cfg.design, cfg.G, rng_sat)
-    moments = share_moments(cfg)
-    groups = [
-        simulate_group(cfg, g, saturations[g], _moments=moments) for g in range(cfg.G)
-    ]
-    return ExperimentData(groups, check=False)
+    return ExperimentData(_simulate_groups(cfg, range(cfg.G), saturations), check=False)
 
 
 def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
@@ -303,12 +336,11 @@ def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
     c = (rng.random(n_draws) * cfg.n < k).astype(float)
     cbar = (k - c) / (cfg.n - 1)
     moments = share_moments(cfg)
-    coefs = np.column_stack(
-        [
-            draw_coefficient(cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng)
-            for j in range(4)
-        ]
-    )
+    coefs = np.empty((n_draws, 4))
+    for j in range(4):
+        coefs[:, j] = draw_coefficient(
+            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng
+        )
     return c, cbar, coefs
 
 
@@ -321,14 +353,13 @@ def oracle_subpopulation_means(
     """
     c, _, coefs = _oracle_draws(cfg, n_draws, seed)
 
-    def _means(mask) -> tuple[tuple[float, float], tuple[float, float]]:
-        sub = coefs[mask].mean(axis=0)
-        return (float(sub[0]), float(sub[2])), (float(sub[1]), float(sub[3]))
+    def _means(sub) -> tuple[tuple[float, float], tuple[float, float]]:
+        m = sub.mean(axis=0)
+        return (float(m[0]), float(m[2])), (float(m[1]), float(m[3]))
 
-    all_mask = np.ones(len(c), dtype=bool)
-    theta_all, contrast_all = _means(all_mask)
-    theta_c, contrast_c = _means(c == 1.0)
-    theta_n, _ = _means(c == 0.0)
+    theta_all, contrast_all = _means(coefs)
+    theta_c, contrast_c = _means(coefs[c == 1.0])
+    theta_n, _ = _means(coefs[c == 0.0])
     return {
         LABEL_POPULATION: MeanCoefficients(LABEL_POPULATION, theta_all, contrast_all),
         LABEL_COMPLIER: MeanCoefficients(LABEL_COMPLIER, theta_c, contrast_c),

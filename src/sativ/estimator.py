@@ -128,9 +128,10 @@ def compliance_rate(data: ExperimentData) -> float:
 class _Rows:
     """Flat per-row arrays in a canonical order.
 
-    Rows are sorted by (group, z, d, y) so that all sums are computed in an
-    order invariant to permutations of individuals within a group, making
-    estimates bit-stable.
+    Rows are in ``ExperimentData.row_order``, sorted by (group, z, d, y), so
+    that all sums are computed in an order invariant to permutations of
+    individuals within a group, making estimates bit-stable.  The order is
+    cached on the data, so every estimator run on one dataset sorts it once.
     """
 
     _PER_ROW = ("y", "z", "d", "saturation", "n_per_row", "dbar", "chat", "chat_fallback")
@@ -138,7 +139,7 @@ class _Rows:
     def __init__(self, data: ExperimentData, sort: bool = True):
         gidx = data.group_index
         if sort:
-            order = np.lexsort((data.y, data.d, data.z, gidx))
+            order = data.row_order
         else:
             order = np.arange(len(gidx))
         self.y = data.y[order]
@@ -690,12 +691,9 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     xtx = x.T @ x
     coef = np.linalg.solve(xtx, x.T @ d)
     u = d - x @ coef
-    # cluster scores on the subsample
-    order = np.argsort(g, kind="stable")
-    xs = (x * u[:, None])[order]
-    gs = g[order]
-    cuts = np.concatenate([[0], np.where(np.diff(gs) != 0)[0] + 1])
-    scores = np.add.reduceat(xs, cuts, axis=0)
+    # cluster scores on the subsample, whose rows are sorted by group
+    cuts = np.concatenate([[0], np.where(np.diff(g) != 0)[0] + 1])
+    scores = np.add.reduceat(x * u[:, None], cuts, axis=0)
     n_clusters = scores.shape[0]
     if n_clusters < 2:
         raise ValidationError("IOR test needs offered individuals in at least two groups")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -102,8 +103,10 @@ class TestSimulateExperiment:
     def test_homogeneous_noiseless_outcomes(self):
         data = simulate_experiment(homogeneous_config())
         a, b, g, dl = 0.5, 0.2, -0.7, 0.8
-        expected = a + b * data.d + g * data.dbar + dl * data.d * data.dbar
-        assert np.abs(data.y - expected).max() < 1e-12
+        for grp in data.groups:
+            dbar = (grp.d.sum() - grp.d) / (grp.n - 1)
+            expected = a + b * grp.d + g * dbar + dl * grp.d * dbar
+            assert np.abs(grp.y - expected).max() < 1e-12
 
     def test_no_compliers(self):
         data = simulate_experiment(homogeneous_config(complier_shares=(0.0,)))
@@ -136,9 +139,8 @@ class TestSimulateExperiment:
         data = simulate_experiment(SEC6)
         grp = data.groups[17]
         alone = simulate_group(SEC6, 17, grp.saturation)
-        assert np.array_equal(alone.z, grp.z)
-        assert np.array_equal(alone.d, grp.d)
-        assert np.allclose(alone.y, grp.y)
+        for name in ("z", "d", "y", "complier", "coefs"):
+            assert np.array_equal(getattr(alone, name), getattr(grp, name)), name
 
     def test_same_seed_same_data(self):
         d1 = simulate_experiment(SEC6)
@@ -162,6 +164,63 @@ class TestSimulateExperiment:
             mask = (data.saturation == s) & (data.z == 1)
             # each bin rate estimates E[share]=0.3; cluster se ~ 0.14/sqrt(200)
             assert data.d[mask].mean() == pytest.approx(0.3, abs=0.05)
+
+
+CORNERS = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (3,) * 5)
+NOISE = (0.3, 0.3, 0.2, 0.4)
+
+
+class TestSimulationDigest:
+    """The simulated bytes are fixed: a faster simulator must draw the same
+    numbers in the same order and combine them with the same arithmetic."""
+
+    CASES = {
+        "sigma0": (
+            dict(n=9),
+            "4115423d0212146d7b08b50dddbe55b7d8c7331e7cb8960b7a1a54490b1edd0c",
+        ),
+        "kappa0": (
+            dict(n=9, sigma=NOISE),
+            "a8fb598c119a688c55aab34d239addf9254a2ec2b1d1a4cb781839243155cfa1",
+        ),
+        "kappa": (
+            dict(n=9, kappa=(0.0, 0.0, 1.2, 1.5), sigma=NOISE),
+            "6332f2c393a094a4f91e9d6aed4ce9618475630a11d14e9bc777841243b154b3",
+        ),
+        "pair": (
+            dict(n=2, kappa=(0.0, 0.0, 1.2, 1.5), sigma=NOISE),
+            "b09252b339a1b5b7916421483fe3b8f50f0aa5bb4ea4e9c5345314aa9e53d9f3",
+        ),
+        "share_probs": (
+            dict(
+                n=9,
+                kappa=(0.0, 0.0, 1.2, 0.0),
+                sigma=(0.3, 0.0, 0.2, 0.0),
+                complier_shares=(0.0, 0.5, 1.0),
+                share_probs=(0.2, 0.5, 0.3),
+            ),
+            "6a03416d3c4049b513017e593384aa38ab7991ec420da2a36741883ca679e63f",
+        ),
+    }
+
+    @staticmethod
+    def digest(data: ExperimentData) -> str:
+        h = hashlib.sha256()
+        for g in data.groups:
+            h.update(np.float64(g.saturation).tobytes())
+            for a in (g.z, g.d, g.y, g.complier, g.coefs):
+                h.update(a.dtype.str.encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_unchanged(self, case):
+        overrides, expected = self.CASES[case]
+        cfg = SimConfig(G=15, design=CORNERS, means=(0.5, 0.2, -0.7, 0.8), seed=11, **overrides)
+        data = simulate_experiment(cfg)
+        # every case has groups at saturation 0 and 1
+        assert {0.0, 1.0} <= {g.saturation for g in data.groups}
+        assert self.digest(data) == expected
 
 
 class TestConditionalBinomial:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import f as f_dist
 
 import sativ
@@ -19,6 +21,7 @@ from sativ.estimator import (
     TARGET_POPULATION,
     EstimateResult,
     _f_sf,
+    _Rows,
     build_instruments,
     complier_theta,
     compliance_rate,
@@ -419,6 +422,82 @@ class TestBitStability:
         n1 = naive_iv(data)
         n2 = naive_iv(data2)
         assert np.array_equal(n1.coefficients, n2.coefficients)
+        assert ior_test(data) == ior_test(data2)
+
+
+# Tie-heavy y: few distinct values, both signed zeros.
+_TIED_Y = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _tied_groups(draw) -> list[GroupData]:
+    """Groups of mixed size whose rows tie often on (z, d, y) but not on C."""
+    groups = []
+    for gid in range(draw(st.integers(2, 6))):
+        n = draw(st.integers(2, 8))
+        z = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+        c = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+        y = np.array(draw(st.lists(_TIED_Y, min_size=n, max_size=n)))
+        sat = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        groups.append(GroupData(10 * gid, sat, z, c * z, y, complier=c))
+    return groups
+
+
+def _estimate_bytes(res: EstimateResult) -> tuple:
+    return (res.coefficients.tobytes(), res.vcov.tobytes(), repr(res.diagnostics))
+
+
+class TestCanonicalOrder:
+    """Every estimator sees rows sorted by (group, z, d, y), ties in data order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups=_tied_groups())
+    def test_rows_follow_lexsort(self, groups):
+        data = ExperimentData(groups)
+        ref = np.lexsort((data.y, data.d, data.z, data.group_index))
+        assert np.array_equal(data.row_order, ref)
+        rows = _Rows(data)
+        for name in ("y", "z", "d", "saturation", "n_per_row"):
+            # bytes, so that a swap of -0.0 and 0.0 shows
+            assert getattr(rows, name).tobytes() == getattr(data, name)[ref].tobytes(), name
+        assert np.array_equal(rows.gidx, data.group_index[ref])
+        # tied rows differ in their true neighbor share
+        assert rows.cbar("oracle").tobytes() == data.cbar_true[ref].tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        noisy=st.booleans(),
+        calls=st.permutations(["estimate_all", "naive_iv", "ior_test"]),
+    )
+    def test_results_independent_of_call_history(self, seed, noisy, calls):
+        if noisy:
+            cfg = noisy_sec6_config(G=40, n=12, seed=seed)
+        else:
+            cfg = noiseless_config(design=WITH_ZERO, G=40, n=12, seed=seed)
+        design = cfg.design
+
+        def run(data, call):
+            if call == "estimate_all":
+                out = estimate_all(data, LIN, design)
+                out.update(
+                    ("oracle_" + k, v)
+                    for k, v in estimate_all(
+                        data, LIN, design, chat_policy="oracle", pure_control="drop",
+                        include_naive=False,
+                    ).items()
+                )
+                return {k: _estimate_bytes(v) for k, v in out.items()}
+            if call == "naive_iv":
+                return _estimate_bytes(naive_iv(data))
+            return repr(ior_test(data))
+
+        data = simulate_experiment(cfg)
+        # each call on a dataset the earlier calls have already used ...
+        used = {call: run(data, call) for call in calls}
+        # ... equals the same call on a fresh dataset, run first
+        for call in calls:
+            assert run(ExperimentData(data.groups, check=False), call) == used[call]
 
 
 class TestValidationErrors:
