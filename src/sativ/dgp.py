@@ -65,31 +65,43 @@ class SimConfig:
             if any(p < 0 for p in self.share_probs) or abs(sum(self.share_probs) - 1) > 1e-12:
                 raise ValidationError("share_probs must be a probability vector")
 
-    @property
+    # The derived values below are cached: the config is frozen, and a
+    # simulate_group call per group would otherwise recompute them each time.
+
+    @cached_property
     def probs(self) -> tuple[float, ...]:
         if self.share_probs is not None:
             return self.share_probs
         j = len(self.complier_shares)
         return tuple(1.0 / j for _ in range(j))
 
-    @property
+    @cached_property
     def complier_counts(self) -> tuple[int, ...]:
         """Compliers per group for each support point, rounded to an integer."""
         return tuple(int(round(self.n * c)) for c in self.complier_shares)
 
-    @property
+    @cached_property
     def realized_shares(self) -> tuple[float, ...]:
         """The shares actually realizable with integer counts in groups of size n."""
         return tuple(k / self.n for k in self.complier_counts)
 
+    @cached_property
+    def _share_moments(self) -> tuple[float, float]:
+        shares = np.asarray(self.realized_shares)
+        probs = np.asarray(self.probs)
+        mu = float(probs @ shares)
+        var = float(probs @ shares**2) - mu**2
+        return mu, math.sqrt(max(var, 0.0))
+
+    @cached_property
+    def _share_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative support probabilities and the complier count of each point."""
+        return np.cumsum(self.probs), np.asarray(self.complier_counts)
+
 
 def share_moments(cfg: SimConfig) -> tuple[float, float]:
     """Mean and standard deviation of the realized group-share distribution."""
-    shares = np.asarray(cfg.realized_shares)
-    probs = np.asarray(cfg.probs)
-    mu = float(probs @ shares)
-    var = float(probs @ shares**2) - mu**2
-    return mu, math.sqrt(max(var, 0.0))
+    return cfg._share_moments
 
 
 def draw_coefficient(
@@ -285,9 +297,9 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
         if noisy:
             rng.standard_normal(out=u[r])
 
-    idx = np.searchsorted(np.cumsum(cfg.probs), share_u, side="right")
-    idx = np.minimum(idx, len(cfg.complier_shares) - 1)
-    k = np.asarray(cfg.complier_counts)[idx][:, None]
+    cdf, counts = cfg._share_lookup
+    idx = np.minimum(np.searchsorted(cdf, share_u, side="right"), len(counts) - 1)
+    k = counts[idx][:, None]
     c = np.zeros((n_groups, n), dtype=np.int8)
     # the first k positions of a group's permutation are its compliers
     c[np.arange(n_groups)[:, None], perm] = np.arange(n) < k
@@ -295,7 +307,7 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
 
     cbar = (k - c.astype(float)) / (n - 1)
     moments = share_moments(cfg)
-    coefs = np.full((n_groups, n, 4), cfg.means)
+    coefs = np.full((n_groups, n, 4), cfg.means, dtype=float)
     for i, j in enumerate(noisy):
         coefs[:, :, j] = _coefficient(
             cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, u[:, i]

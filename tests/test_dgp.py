@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from sativ import design as design_mod
 from sativ.design import SaturationDesign
 from sativ.dgp import (
     ExperimentData,
@@ -19,7 +20,7 @@ from sativ.dgp import (
 )
 from sativ.errors import ValidationError
 from sativ.moments import binomial_pmf
-from sativ.streams import substream
+from sativ.streams import TAG_GROUP, substream
 
 SEC6_DESIGN = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (47,) * 5)
 SEC6 = SimConfig(
@@ -170,9 +171,36 @@ CORNERS = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (3,) * 5)
 NOISE = (0.3, 0.3, 0.2, 0.4)
 
 
+def _reference_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupData:
+    """One group simulated on its own, one numpy call per coefficient: the
+    simulator as it was before its per-group work was batched."""
+    rng = substream(cfg.seed, TAG_GROUP, group_id)
+    n = cfg.n
+    idx = int(np.searchsorted(np.cumsum(cfg.probs), rng.random(), side="right"))
+    k = cfg.complier_counts[min(idx, len(cfg.complier_shares) - 1)]
+    c = np.zeros(n, dtype=np.int8)
+    c[rng.permutation(n)[:k]] = 1
+    z = design_mod.assign_offers(n, saturation, rng)
+    d = (c * z).astype(np.int8)
+    cbar = (k - c.astype(float)) / (n - 1)
+    coefs = np.empty((n, 4))
+    for j in range(4):
+        coefs[:, j] = draw_coefficient(
+            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, share_moments(cfg), rng
+        )
+    dbar = (d.sum() - d) / (n - 1)
+    y = coefs[:, 0] + coefs[:, 1] * d + coefs[:, 2] * dbar + coefs[:, 3] * d * dbar
+    return GroupData(group_id, float(saturation), z, d, y, complier=c, coefs=coefs)
+
+
 class TestSimulationDigest:
     """The simulated bytes are fixed: a faster simulator must draw the same
-    numbers in the same order and combine them with the same arithmetic."""
+    numbers in the same order and combine them with the same arithmetic.
+
+    The pinned digests also fix numpy's Generator streams, which numpy does
+    not promise to keep across releases; ``test_matches_per_group_reference``
+    makes the same comparison against a reference run in the same process.
+    """
 
     CASES = {
         "sigma0": (
@@ -213,14 +241,34 @@ class TestSimulationDigest:
                 h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()
 
+    @staticmethod
+    def config(case: str, means=(0.5, 0.2, -0.7, 0.8)) -> SimConfig:
+        overrides, _ = TestSimulationDigest.CASES[case]
+        return SimConfig(G=15, design=CORNERS, means=means, seed=11, **overrides)
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bytes_unchanged(self, case):
-        overrides, expected = self.CASES[case]
-        cfg = SimConfig(G=15, design=CORNERS, means=(0.5, 0.2, -0.7, 0.8), seed=11, **overrides)
-        data = simulate_experiment(cfg)
+        data = simulate_experiment(self.config(case))
         # every case has groups at saturation 0 and 1
         assert {0.0, 1.0} <= {g.saturation for g in data.groups}
-        assert self.digest(data) == expected
+        assert self.digest(data) == self.CASES[case][1]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_group_reference(self, case):
+        cfg = self.config(case)
+        data = simulate_experiment(cfg)
+        ref = [_reference_group(cfg, g.group_id, g.saturation) for g in data.groups]
+        assert self.digest(data) == self.digest(ExperimentData(ref))
+        alone = [simulate_group(cfg, g.group_id, g.saturation) for g in data.groups]
+        assert self.digest(ExperimentData(alone)) == self.digest(data)
+
+    @pytest.mark.parametrize("case", ["sigma0", "share_probs"])
+    def test_integer_means(self, case):
+        # a JSON config may give whole-number means as integers
+        as_float = simulate_experiment(self.config(case, means=(0.0, 1.0, -1.0, 2.0)))
+        as_int = simulate_experiment(self.config(case, means=(0, 1, -1, 2)))
+        assert all(g.coefs.dtype == np.float64 for g in as_int.groups)
+        assert self.digest(as_int) == self.digest(as_float)
 
 
 class TestConditionalBinomial:
