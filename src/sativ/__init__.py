@@ -37,7 +37,7 @@ from .moments import (
     q_extended,
     q_linear_closed_form,
 )
-from .montecarlo import MCReport, MCRow, run_mc
+from .montecarlo import MCReport, MCRow, SingularReplication, run_mc
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "MomentMatrices",
     "SaturationDesign",
     "SimConfig",
+    "SingularReplication",
     "SingularSystemError",
     "UnidentifiedEffectError",
     "ValidationError",

@@ -11,7 +11,7 @@ y = alpha + beta*d + gamma*dbar + delta*d*dbar.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -177,6 +177,64 @@ class GroupData:
             )
 
 
+@dataclass
+class Cells:
+    """The rows of one dataset pooled into cells of equal (group, z, d).
+
+    With one-sided non-compliance a group has at most the cells (0, 0),
+    (1, 0) and (1, 1).  Every leave-one-out share of a row depends on its
+    group totals and its own (z, d), so it is constant within a cell, as is
+    everything an estimator derives from them: only the outcome varies.
+    The latent cells also split on the complier flag, which the true
+    neighbor share ``cbar_true`` depends on.  Cells run in (group, z, d,
+    flag) order.  ``y`` holds the outcomes cell by cell, each cell's in the
+    canonical row order, so a per-row array is a per-cell one repeated
+    ``count`` times, and sums over it do not depend on the order of
+    individuals within a group.
+    """
+
+    group: np.ndarray  # index of the cell's group in ExperimentData.groups
+    z: np.ndarray
+    d: np.ndarray
+    count: np.ndarray
+    y: np.ndarray  # one entry per row, not per cell
+    saturation: np.ndarray
+    n: np.ndarray
+    dbar: np.ndarray
+    chat: np.ndarray
+    chat_fallback: np.ndarray  # no offered neighbor: Chat falls back to 0
+    cbar_true: np.ndarray | None = None
+    row_cell: np.ndarray | None = None  # the cell of each row, in data order
+    starts: np.ndarray = field(init=False)  # the first cell of each group
+    row_starts: np.ndarray = field(init=False)  # the first row of each group in y
+
+    def __post_init__(self):
+        first = np.ones(len(self.group), dtype=bool)
+        first[1:] = self.group[1:] != self.group[:-1]
+        self.starts = np.flatnonzero(first)
+        self.row_starts = np.concatenate([[0], np.cumsum(self.count)])[self.starts]
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.starts)
+
+    def rows(self, per_cell: np.ndarray) -> np.ndarray:
+        """A per-cell array as a per-row one, in the order of ``y``."""
+        return np.repeat(per_cell, self.count, axis=0)
+
+    def take(self, keep: np.ndarray) -> "Cells":
+        """The cells where ``keep`` holds, without row ids."""
+        per_cell = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.init and f.name not in ("row_cell", "y")
+        }
+        return Cells(
+            **{k: None if v is None else v[keep] for k, v in per_cell.items()},
+            y=self.y[self.rows(keep)],
+        )
+
+
 @dataclass(eq=False)
 class ExperimentData:
     """Grouped observations; the sole input to all estimators.
@@ -209,11 +267,6 @@ class ExperimentData:
         return np.array([g.n for g in self.groups])
 
     @cached_property
-    def starts(self) -> np.ndarray:
-        """Row offset of each group in the flat arrays."""
-        return np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-
-    @cached_property
     def group_index(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_groups), self.sizes)
 
@@ -230,27 +283,74 @@ class ExperimentData:
         return np.concatenate([g.y for g in self.groups]).astype(float)
 
     @cached_property
+    def cell_key(self) -> np.ndarray:
+        """Each row's (group, z, d) cell as one integer, 4*group + 2*z + d."""
+        return 4 * self.group_index + (2 * self.z + self.d).astype(np.intp)
+
+    @cached_property
     def row_order(self) -> np.ndarray:
         """The canonical row order: by group, z, d and y, ties in data order.
 
         Estimators sum over rows in this order, so their results do not
         depend on the order of individuals within a group.
         """
-        return np.lexsort((self.y, self.d, self.z, self.group_index))
+        return np.lexsort((self.y, self.cell_key))
+
+    @cached_property
+    def cells(self) -> Cells:
+        """The (group, z, d) cells, shared by every estimator run on this data."""
+        return self._pool(self.cell_key, latent=False)
+
+    @cached_property
+    def latent_cells(self) -> Cells:
+        """The (group, z, d, complier) cells, with the true neighbor share."""
+        return self._pool(2 * self.cell_key + self.complier.astype(np.intp), latent=True)
+
+    def _pool(self, key: np.ndarray, latent: bool) -> Cells:
+        """Cells of the rows with equal ``key``; a latent key ends in the complier bit."""
+        counts = np.bincount(key)
+        present = counts > 0
+        cell = np.flatnonzero(present)
+        count = counts[cell]
+        row_cell = (np.cumsum(present) - 1)[key]
+        order = self.row_order
+        if latent:  # the flag splits cells whose rows interleave in the canonical order
+            order = order[np.argsort(row_cell[order], kind="stable")]
+            flag = (cell & 1).astype(float)
+            cell = cell >> 1
+        group, z, d = cell >> 2, ((cell >> 1) & 1).astype(float), (cell & 1).astype(float)
+
+        def total(per_cell: np.ndarray) -> np.ndarray:
+            return np.bincount(group, weights=count * per_cell, minlength=self.n_groups)[group]
+
+        sum_d = total(d)
+        n = self.sizes[group].astype(float)
+        offered = total(z) - z
+        fallback = offered == 0
+        return Cells(
+            group=group,
+            z=z,
+            d=d,
+            count=count,
+            y=self.y[order],
+            saturation=self.group_saturation[group],
+            n=n,
+            dbar=(sum_d - d) / (n - 1),
+            chat=np.divide(sum_d - d, offered, out=np.zeros_like(d), where=~fallback),
+            chat_fallback=fallback,
+            cbar_true=(total(flag) - flag) / (n - 1) if latent else None,
+            row_cell=row_cell,
+        )
+
+    @cached_property
+    def group_saturation(self) -> np.ndarray:
+        """Per-group saturation."""
+        return np.array([g.saturation for g in self.groups], dtype=float)
 
     @cached_property
     def saturation(self) -> np.ndarray:
         """Per-row saturation."""
-        return np.repeat([g.saturation for g in self.groups], self.sizes)
-
-    @cached_property
-    def n_per_row(self) -> np.ndarray:
-        return np.repeat(self.sizes, self.sizes).astype(float)
-
-    def group_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-group sums of a per-row array, expanded back to rows."""
-        sums = np.add.reduceat(values, self.starts)
-        return sums[self.group_index]
+        return np.repeat(self.group_saturation, self.sizes)
 
     @property
     def has_latent(self) -> bool:
@@ -265,8 +365,8 @@ class ExperimentData:
     @cached_property
     def cbar_true(self) -> np.ndarray:
         """Leave-one-out neighbor complier share from the latent truth."""
-        c = self.complier
-        return (self.group_sum(c) - c) / (self.n_per_row - 1)
+        cells = self.latent_cells
+        return cells.cbar_true[cells.row_cell]
 
     @property
     def has_pure_control_groups(self) -> bool:
@@ -348,11 +448,9 @@ def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
     c = (rng.random(n_draws) * cfg.n < k).astype(float)
     cbar = (k - c) / (cfg.n - 1)
     moments = share_moments(cfg)
-    coefs = np.empty((n_draws, 4))
+    coefs = np.empty((4, n_draws))  # one contiguous row per coefficient
     for j in range(4):
-        coefs[:, j] = draw_coefficient(
-            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng
-        )
+        coefs[j] = draw_coefficient(cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng)
     return c, cbar, coefs
 
 
@@ -364,14 +462,16 @@ def oracle_subpopulation_means(
     These are the ground-truth targets for the estimator bias checks.
     """
     c, _, coefs = _oracle_draws(cfg, n_draws, seed)
+    n_c = c.sum()
+    total = coefs.sum(axis=1)
+    complier = coefs @ c
 
-    def _means(sub) -> tuple[tuple[float, float], tuple[float, float]]:
-        m = sub.mean(axis=0)
+    def _means(m) -> tuple[tuple[float, float], tuple[float, float]]:
         return (float(m[0]), float(m[2])), (float(m[1]), float(m[3]))
 
-    theta_all, contrast_all = _means(coefs)
-    theta_c, contrast_c = _means(coefs[c == 1.0])
-    theta_n, _ = _means(coefs[c == 0.0])
+    theta_all, contrast_all = _means(total / n_draws)
+    theta_c, contrast_c = _means(complier / n_c)
+    theta_n, _ = _means((total - complier) / (n_draws - n_c))
     return {
         LABEL_POPULATION: MeanCoefficients(LABEL_POPULATION, theta_all, contrast_all),
         LABEL_COMPLIER: MeanCoefficients(LABEL_COMPLIER, theta_c, contrast_c),
@@ -388,8 +488,8 @@ def oracle_naive_iv_estimands(
     gamma_IV = E[Cbar gamma]/E[Cbar], delta_IV = E[C Cbar delta] / E[C Cbar].
     """
     c, cbar, coefs = _oracle_draws(cfg, n_draws, seed)
-    alpha_iv = coefs[:, 0].mean()
-    beta_iv = (c * coefs[:, 1]).mean() / c.mean()
-    gamma_iv = (cbar * coefs[:, 2]).mean() / cbar.mean()
-    delta_iv = (c * cbar * coefs[:, 3]).mean() / (c * cbar).mean()
+    alpha_iv = coefs[0].mean()
+    beta_iv = (c * coefs[1]).mean() / c.mean()
+    gamma_iv = (cbar * coefs[2]).mean() / cbar.mean()
+    delta_iv = (c * cbar * coefs[3]).mean() / (c * cbar).mean()
     return np.array([alpha_iv, beta_iv, gamma_iv, delta_iv])

@@ -22,7 +22,7 @@ from scipy.special import fdtrc
 
 from . import moments
 from .design import SaturationDesign
-from .dgp import ExperimentData, GroupData
+from .dgp import Cells, ExperimentData, GroupData
 from .errors import SingularSystemError, ValidationError
 from .model import LABEL_COMPLIER, BasisSpec, MeanCoefficients
 
@@ -125,95 +125,34 @@ def compliance_rate(data: ExperimentData) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Rows:
-    """Flat per-row arrays in a canonical order.
-
-    Rows are in ``ExperimentData.row_order``, sorted by (group, z, d, y), so
-    that all sums are computed in an order invariant to permutations of
-    individuals within a group, making estimates bit-stable.  The order is
-    cached on the data, so every estimator run on one dataset sorts it once.
-    """
-
-    _PER_ROW = ("y", "z", "d", "saturation", "n_per_row", "dbar", "chat", "chat_fallback")
-
-    def __init__(self, data: ExperimentData, sort: bool = True):
-        gidx = data.group_index
-        if sort:
-            order = data.row_order
-        else:
-            order = np.arange(len(gidx))
-        self.y = data.y[order]
-        self.z = data.z[order]
-        self.d = data.d[order]
-        self.saturation = data.saturation[order]
-        self.n_per_row = data.n_per_row[order]
-        self.gidx = gidx[order]
-        self.sizes = data.sizes
-        self.starts = data.starts
-        self.group_ids = tuple(g.group_id for g in data.groups)
-        self.n_groups = data.n_groups
-        sum_d = np.add.reduceat(self.d, self.starts)[self.gidx]
-        sum_z = np.add.reduceat(self.z, self.starts)[self.gidx]
-        self.dbar = (sum_d - self.d) / (self.n_per_row - 1)
-        offered = sum_z - self.z
-        self.chat_fallback = offered == 0
-        self.chat = np.divide(
-            sum_d - self.d, offered, out=np.zeros_like(self.d), where=~self.chat_fallback
-        )
-        self._cbar_true = None
-        if data.has_latent:
-            self._cbar_true = data.cbar_true[order]
-
-    def drop_pure_control(self) -> "_Rows":
-        """The rows of groups with saturation above 0, in the same order.
-
-        Equal bit for bit to the rows of the data without its pure-control
-        groups: every per-row value is computed within its group.
-        """
-        keep_group = self.saturation[self.starts] > 0.0
-        keep = keep_group[self.gidx]
-        out = object.__new__(_Rows)
-        for name in self._PER_ROW:
-            setattr(out, name, getattr(self, name)[keep])
-        out._cbar_true = None if self._cbar_true is None else self._cbar_true[keep]
-        out.sizes = self.sizes[keep_group]
-        out.starts = np.concatenate([[0], np.cumsum(out.sizes)[:-1]])
-        out.n_groups = len(out.sizes)
-        out.gidx = np.repeat(np.arange(out.n_groups), out.sizes)
-        out.group_ids = tuple(g for g, k in zip(self.group_ids, keep_group) if k)
-        return out
-
-    def cbar(self, chat_policy: str) -> np.ndarray:
-        if chat_policy == "estimate":
-            return self.chat
-        if chat_policy == "oracle":
-            if self._cbar_true is None:
-                raise ValidationError("oracle chat policy requires latent complier flags")
-            return self._cbar_true
-        raise ValidationError(f"unknown chat policy {chat_policy!r}")
-
-    def group_scores(self, contribs: np.ndarray) -> np.ndarray:
-        """Per-group sums of per-row score contributions, in group order."""
-        return np.add.reduceat(contribs, self.starts, axis=0)
+def _cells(data: ExperimentData, chat_policy: str) -> Cells:
+    """The cells an RS-IV fit runs on: split by the complier flag for the oracle."""
+    if chat_policy == "estimate":
+        return data.cells
+    if chat_policy == "oracle":
+        if not data.has_latent:
+            raise ValidationError("oracle chat policy requires latent complier flags")
+        return data.latent_cells
+    raise ValidationError(f"unknown chat policy {chat_policy!r}")
 
 
 def _target_arrays(
-    rows: _Rows, basis: BasisSpec, target: str
+    cells: Cells, basis: BasisSpec, target: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Regressors X and instrument building blocks W per the estimator table."""
-    f = basis.values(rows.dbar)
+    f = basis.values(cells.dbar)
     if target == TARGET_JOINT:
-        x = np.hstack([f, rows.d[:, None] * f])
-        w = np.hstack([f, rows.z[:, None] * f])
+        x = np.hstack([f, cells.d[:, None] * f])
+        w = np.hstack([f, cells.z[:, None] * f])
     elif target == TARGET_COMPLIER_PSI:
         x = f
-        w = rows.d[:, None] * f
+        w = cells.d[:, None] * f
     elif target == TARGET_NEVER_TAKER:
         x = f
-        w = (rows.z * (1.0 - rows.d))[:, None] * f
+        w = (cells.z * (1.0 - cells.d))[:, None] * f
     elif target == TARGET_POPULATION:
         x = f
-        w = (1.0 - rows.z)[:, None] * f
+        w = (1.0 - cells.z)[:, None] * f
     else:
         raise ValidationError(f"unknown RS-IV target {target!r}")
     return x, w
@@ -222,36 +161,33 @@ def _target_arrays(
 class _InstrumentPlan:
     """Zhat = R(cbar, n)^+ W for every RS target of one dataset.
 
-    R depends on a row only through its key (cbar, n), so Q0/Q1 are built
+    R depends on a cell only through its key (cbar, n), so Q0/Q1 are built
     once per key (one ``q_extended`` call per distinct n and z) and each R
     family (Q0, Q1, stacked Q) gets one batched pseudo-inverse shared by all
-    targets.  The plan covers the rows of ``mask``: with a 0% saturation in
+    targets.  The plan covers the cells of ``mask``: with a 0% saturation in
     the design, the groups with S > 0, and the moments condition on S > 0.
     """
 
-    def __init__(self, rows: _Rows, basis: BasisSpec, design: SaturationDesign, chat_policy: str):
+    def __init__(self, cells: Cells, basis: BasisSpec, design: SaturationDesign, chat_policy: str):
         if design.has_pure_control:
-            self.mask = rows.saturation > 0.0
+            self.mask = cells.saturation > 0.0
             if not self.mask.any():
                 raise ValidationError("all groups are pure control; nothing to estimate")
             design = design.positive_part()
         else:
-            self.mask = np.ones(len(rows.y), dtype=bool)
-        cbar = rows.cbar(chat_policy)[self.mask]
-        n = rows.n_per_row[self.mask]
-        gidx = rows.gidx[self.mask]
+            self.mask = np.ones(len(cells.count), dtype=bool)
+        cbar = (cells.chat if chat_policy == "estimate" else cells.cbar_true)[self.mask]
+        n = cells.n[self.mask]
+        self.count = cells.count[self.mask]
         self.n_chat_fallback = (
-            int(rows.chat_fallback[self.mask].sum()) if chat_policy == "estimate" else 0
+            int(self.count[cells.chat_fallback[self.mask]].sum())
+            if chat_policy == "estimate"
+            else 0
         )
-        # Keys are found on runs of equal (group, cbar): in canonical row
-        # order Chat takes at most three values per group, one run each.
-        run = np.ones(len(cbar), dtype=bool)
-        run[1:] = (cbar[1:] != cbar[:-1]) | (gidx[1:] != gidx[:-1])
-        run_starts = np.flatnonzero(run)
-        keys, key_of_run = np.unique(
-            np.column_stack([cbar[run_starts], n[run_starts]]), axis=0, return_inverse=True
+        keys, key_of_cell = np.unique(
+            np.column_stack([cbar, n]), axis=0, return_inverse=True
         )
-        self.row_key = np.repeat(key_of_run.ravel(), np.diff(np.append(run_starts, len(cbar))))
+        self.key_of_cell = key_of_cell.ravel()
         self.n_keys = len(keys)
         k = basis.k
         self.q0 = np.empty((self.n_keys, k, k))
@@ -269,13 +205,14 @@ class _InstrumentPlan:
             r = moments.assemble_q(self.q0, self.q1) if name == "q" else getattr(self, name)
             pinv, deficient = moments.pseudo_inverse_stack(r)
             dets = np.abs(np.linalg.det(r))
-            self._families[name] = (pinv, int(deficient[self.row_key].sum()), float(dets.min()))
+            n_rows = int(self.count[deficient[self.key_of_cell]].sum())
+            self._families[name] = (pinv, n_rows, float(dets.min()))
         return self._families[name]
 
     def zhat(self, target: str, w: np.ndarray) -> np.ndarray:
-        """Zhat for the rows of the mask, given W on those rows only."""
+        """Zhat for the cells of the mask, given W on those cells only."""
         pinv = self._family(target)[0]
-        return np.einsum("nij,nj->ni", pinv[self.row_key], w)
+        return np.einsum("nij,nj->ni", pinv[self.key_of_cell], w)
 
     def diagnostics(self, target: str, pure_control: str | None) -> EstimatorDiagnostics:
         _, n_pseudo, min_det = self._family(target)
@@ -288,8 +225,8 @@ class _InstrumentPlan:
         )
 
 
-def _check_clusters(rows: _Rows) -> None:
-    if rows.n_groups < 2:
+def _check_clusters(cells: Cells) -> None:
+    if cells.n_groups < 2:
         raise ValidationError("need at least two clusters (groups)")
 
 
@@ -320,11 +257,11 @@ def _cluster_sandwich(
 class _CoreResult:
     result: EstimateResult
     influence: np.ndarray  # (G, p) per-group influence contributions
-    group_ids: tuple[int, ...]
+    groups: np.ndarray  # the index of each of those groups in the data
 
 
 def _fit_iv(
-    rows: _Rows,
+    cells: Cells,
     x: np.ndarray,
     inst: np.ndarray,
     y: np.ndarray,
@@ -332,28 +269,31 @@ def _fit_iv(
     diag: EstimatorDiagnostics,
     df_correction: bool,
 ) -> _CoreResult:
-    """Just-identified IV of y on x with instruments ``inst``, clustered by group."""
-    _check_clusters(rows)
+    """Just-identified IV of y on x with instruments ``inst``, clustered by group.
+
+    x, inst and y hold one row per individual, in the order of ``cells.y``.
+    """
+    _check_clusters(cells)
     a = inst.T @ x
     diag.cond_a = float(np.linalg.cond(a))
     _require_well_conditioned(diag.cond_a, "instrument-regressor cross-product")
     coef = np.linalg.solve(a, inst.T @ y)
     u = y - x @ coef
-    scores = rows.group_scores(inst * u[:, None])
+    scores = np.add.reduceat(inst * u[:, None], cells.row_starts, axis=0)
     vcov, ainv = _cluster_sandwich(a, scores, df_correction)
     result = EstimateResult(
         target=target,
         coefficients=coef,
         vcov=vcov,
-        G_used=rows.n_groups,
+        G_used=cells.n_groups,
         N_used=len(y),
         diagnostics=diag,
     )
-    return _CoreResult(result, scores @ ainv.T, rows.group_ids)
+    return _CoreResult(result, scores @ ainv.T, cells.group[cells.starts])
 
 
 def _solve_2sls(
-    rows: _Rows,
+    cells: Cells,
     x: np.ndarray,
     zmat: np.ndarray,
     yv: np.ndarray,
@@ -362,60 +302,61 @@ def _solve_2sls(
     df_correction: bool,
 ) -> _CoreResult:
     """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}: IV on the fitted Xhat."""
-    _check_clusters(rows)
+    _check_clusters(cells)
     zz = zmat.T @ zmat
     _require_well_conditioned(float(np.linalg.cond(zz)), "instrument cross-product")
     xhat = zmat @ np.linalg.solve(zz, zmat.T @ x)
-    return _fit_iv(rows, x, xhat, yv, target, diag, df_correction)
+    return _fit_iv(cells, x, xhat, yv, target, diag, df_correction)
 
 
-def _validate_inputs(data: ExperimentData, design: SaturationDesign, basis: BasisSpec) -> None:
+def _validate_inputs(data: ExperimentData, design: SaturationDesign) -> None:
     if not design.interior_saturations:
         raise ValidationError("design has no interior saturation; effects not identified")
     valid = np.asarray(design.saturations)
-    for g in data.groups:
-        if np.abs(valid - g.saturation).min() > 1e-9:
-            raise ValidationError(
-                f"group {g.group_id}: saturation {g.saturation} not in the design"
-            )
+    sats = data.group_saturation
+    off = np.abs(sats[:, None] - valid[None, :]).min(axis=1) > 1e-9
+    if off.any():
+        g = data.groups[int(np.argmax(off))]
+        raise ValidationError(f"group {g.group_id}: saturation {g.saturation} not in the design")
 
 
 def _core_rsiv(
-    rows: _Rows,
+    cells: Cells,
     basis: BasisSpec,
     plan: _InstrumentPlan,
     target: str,
     pure_control: str | None,
     df_correction: bool,
 ) -> _CoreResult:
-    """Just-identified RS-IV on exactly the rows the plan covers."""
-    x, w = _target_arrays(rows, basis, target)
+    """Just-identified RS-IV on exactly the cells the plan covers."""
+    x, w = _target_arrays(cells, basis, target)
     zhat = plan.zhat(target, w)
     diag = plan.diagnostics(target, pure_control)
-    return _fit_iv(rows, x, zhat, rows.y, target, diag, df_correction)
+    return _fit_iv(cells, cells.rows(x), cells.rows(zhat), cells.y, target, diag, df_correction)
 
 
 def _core_pure_control(
-    rows: _Rows,
+    cells: Cells,
     basis: BasisSpec,
     plan: _InstrumentPlan,
     target: str,
     df_correction: bool,
 ) -> _CoreResult:
-    """2SLS on all rows, with a pure-control indicator as an extra instrument."""
-    x, w = _target_arrays(rows, basis, target)
+    """2SLS on all cells, with a pure-control indicator as an extra instrument."""
+    x, w = _target_arrays(cells, basis, target)
     pos = plan.mask
     p = x.shape[1]
-    zmat = np.zeros((len(rows.y), p + 1))
+    zmat = np.zeros((len(cells.count), p + 1))
     zmat[pos, :p] = plan.zhat(target, w[pos])
     zmat[~pos, p] = 1.0
+    yv = cells.y
     if target == TARGET_POPULATION:
-        x = (1.0 - rows.z)[:, None] * x
-        yv = (1.0 - rows.z) * rows.y
-    else:
-        yv = rows.y
+        x = (1.0 - cells.z)[:, None] * x
+        yv = cells.rows(1.0 - cells.z) * yv
     diag = plan.diagnostics(target, "gmm")
-    return _solve_2sls(rows, x, zmat, yv, target, diag, df_correction)
+    return _solve_2sls(
+        cells, cells.rows(x), cells.rows(zmat), yv, target, diag, df_correction
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +372,17 @@ def build_instruments(
     chat_policy: str = "estimate",
 ) -> InstrumentSet:
     """Per-individual (X, W, Zhat) arrays in data row order for one target."""
-    _validate_inputs(data, design, basis)
+    _validate_inputs(data, design)
     if target not in RS_TARGETS:
         raise ValidationError(f"instruments defined for RS-IV targets only, not {target!r}")
-    rows = _Rows(data, sort=False)
-    plan = _InstrumentPlan(rows, basis, design, chat_policy)
-    x, w = _target_arrays(rows, basis, target)
+    cells = _cells(data, chat_policy)
+    plan = _InstrumentPlan(cells, basis, design, chat_policy)
+    x, w = _target_arrays(cells, basis, target)
     zhat = np.zeros_like(w)
     zhat[plan.mask] = plan.zhat(target, w[plan.mask])
     diag = plan.diagnostics(target, None)
-    return InstrumentSet(x, w, zhat, diag.n_pseudo_inverted, diag.min_abs_det_r)
+    row = cells.row_cell
+    return InstrumentSet(x[row], w[row], zhat[row], diag.n_pseudo_inverted, diag.min_abs_det_r)
 
 
 def complier_theta(
@@ -476,15 +418,13 @@ def _derive_complier_theta(
     if rate >= 1.0:
         raise ValidationError("full compliance: complier theta is not separately identified")
     k = len(pop_core.result.coefficients)
-    all_ids = tuple(g.group_id for g in data.groups)
-    pos = {gid: i for i, gid in enumerate(all_ids)}
-    h = np.zeros((len(all_ids), 2 * k + 1))
-    for core, sl in ((nt_core, slice(0, k)), (pop_core, slice(k, 2 * k))):
-        for gid, infl in zip(core.group_ids, core.influence):
-            h[pos[gid], sl] = infl
-    total_z = data.z.sum()
-    for i, g in enumerate(data.groups):
-        h[i, 2 * k] = float((g.z * (g.d - rate)).sum()) / total_z
+    h = np.zeros((data.n_groups, 2 * k + 1))
+    h[nt_core.groups, :k] = nt_core.influence
+    h[pop_core.groups, k : 2 * k] = pop_core.influence
+    cells = data.cells
+    h[:, 2 * k] = np.add.reduceat(
+        cells.count * cells.z * (cells.d - rate), cells.starts
+    ) / data.z.sum()
 
     theta_n = np.asarray(nt_core.result.coefficients)
     theta_pop = np.asarray(pop_core.result.coefficients)
@@ -524,24 +464,24 @@ def _estimate_cores(
     chat_policy: str,
     df_correction: bool,
 ) -> dict[str, _CoreResult]:
-    _validate_inputs(data, design, basis)
+    _validate_inputs(data, design)
     if pure_control not in ("gmm", "drop"):
         raise ValidationError("pure_control policy must be 'gmm' or 'drop'")
     for target in targets:
         if target not in RS_TARGETS:
             raise ValidationError(f"unknown RS-IV target {target!r}")
     has_zero = design.has_pure_control
-    rows = _Rows(data)
-    plan = _InstrumentPlan(rows, basis, design, chat_policy)
+    cells = _cells(data, chat_policy)
+    plan = _InstrumentPlan(cells, basis, design, chat_policy)
     gmm = has_zero and pure_control == "gmm" and data.has_pure_control_groups
     dropped = None
     cores: dict[str, _CoreResult] = {}
     for target in targets:
         if gmm and target in (TARGET_JOINT, TARGET_POPULATION):
-            cores[target] = _core_pure_control(rows, basis, plan, target, df_correction)
+            cores[target] = _core_pure_control(cells, basis, plan, target, df_correction)
         else:
             if dropped is None:
-                dropped = rows.drop_pure_control() if has_zero else rows
+                dropped = cells.take(plan.mask) if has_zero else cells
             cores[target] = _core_rsiv(
                 dropped, basis, plan, target, "drop" if has_zero else None, df_correction
             )
@@ -592,7 +532,7 @@ def rsiv_pure_control(
     df_correction: bool = False,
 ) -> EstimateResult:
     """Over-identified 2SLS using pure-control groups as extra instruments."""
-    _validate_inputs(data, design, basis)
+    _validate_inputs(data, design)
     if not design.has_pure_control:
         raise ValidationError("design has no 0% saturation; use rsiv_estimate")
     if not data.has_pure_control_groups:
@@ -658,13 +598,14 @@ def estimate_all(
 
 def naive_iv(data: ExperimentData, *, df_correction: bool = False) -> EstimateResult:
     """IV regression of Y on (1, D, Dbar, D*Dbar) with instruments (1, Z, S, ZS)."""
-    rows = _Rows(data)
-    x = np.column_stack([np.ones_like(rows.y), rows.d, rows.dbar, rows.d * rows.dbar])
-    zmat = np.column_stack(
-        [np.ones_like(rows.y), rows.z, rows.saturation, rows.z * rows.saturation]
-    )
+    cells = data.cells
+    one = np.ones_like(cells.z)
+    x = np.column_stack([one, cells.d, cells.dbar, cells.d * cells.dbar])
+    zmat = np.column_stack([one, cells.z, cells.saturation, cells.z * cells.saturation])
     diag = EstimatorDiagnostics(n_pseudo_inverted=0, min_abs_det_r=math.nan)
-    return _fit_iv(rows, x, zmat, rows.y, TARGET_NAIVE, diag, df_correction).result
+    return _fit_iv(
+        cells, cells.rows(x), cells.rows(zmat), cells.y, TARGET_NAIVE, diag, df_correction
+    ).result
 
 
 def ior_test(data: ExperimentData) -> IORTestResult:
@@ -676,28 +617,26 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     correction and an F(df, G-1) reference distribution so the test holds
     size at a few hundred clusters.
     """
-    rows = _Rows(data)
-    offered = rows.z == 1.0
+    cells = data.cells
+    offered = cells.z == 1.0
     if not offered.any():
         raise ValidationError("no offered individuals; IOR test undefined")
-    sats = np.unique(rows.saturation[offered])
+    cells = cells.take(offered)
+    sat, d, count = cells.saturation, cells.d, cells.count
+    sats = np.unique(sat)
     if len(sats) < 2:
         raise ValidationError("IOR test needs at least two saturation bins with offers")
-    d = rows.d[offered]
-    sat = rows.saturation[offered]
-    g = rows.gidx[offered]
     dummies = np.column_stack([(sat == s).astype(float) for s in sats[1:]])
     x = np.column_stack([np.ones_like(d), dummies])
-    xtx = x.T @ x
-    coef = np.linalg.solve(xtx, x.T @ d)
+    weighted = count[:, None] * x
+    xtx = x.T @ weighted
+    coef = np.linalg.solve(xtx, weighted.T @ d)
     u = d - x @ coef
-    # cluster scores on the subsample, whose rows are sorted by group
-    cuts = np.concatenate([[0], np.where(np.diff(g) != 0)[0] + 1])
-    scores = np.add.reduceat(x * u[:, None], cuts, axis=0)
-    n_clusters = scores.shape[0]
+    scores = np.add.reduceat(weighted * u[:, None], cells.starts, axis=0)
+    n_clusters = cells.n_groups
     if n_clusters < 2:
         raise ValidationError("IOR test needs offered individuals in at least two groups")
-    n_obs, n_par = x.shape
+    n_obs, n_par = int(count.sum()), x.shape[1]
     correction = (n_clusters / (n_clusters - 1)) * ((n_obs - 1) / (n_obs - n_par))
     xtx_inv = np.linalg.inv(xtx)
     vcov = correction * (xtx_inv @ (scores.T @ scores) @ xtx_inv.T)
@@ -706,12 +645,12 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     wald = float(b @ np.linalg.solve(vb, b))
     df = len(sats) - 1
     p = _f_sf(wald / df, df, n_clusters - 1)
-    rates = tuple(float(d[sat == s].mean()) for s in sats)
-    counts = tuple(int((sat == s).sum()) for s in sats)
+    counts = [int(count[sat == s].sum()) for s in sats]
+    taken = [int((count * d)[sat == s].sum()) for s in sats]
     return IORTestResult(
         saturations=tuple(float(s) for s in sats),
-        offered_counts=counts,
-        take_up_rates=rates,
+        offered_counts=tuple(counts),
+        take_up_rates=tuple(t / c for t, c in zip(taken, counts)),
         wald=wald,
         df=df,
         n_clusters=n_clusters,

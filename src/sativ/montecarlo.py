@@ -37,6 +37,15 @@ class MCRow:
     coverage: float | None
 
 
+@dataclass(frozen=True)
+class SingularReplication:
+    """A replication left out because one of its linear systems was singular."""
+
+    rep: int
+    message: str
+    condition_number: float | None
+
+
 @dataclass
 class MCReport:
     rows: list[MCRow]
@@ -48,6 +57,7 @@ class MCReport:
     config: dict
     runtime_seconds: float
     per_replication: list[dict[str, tuple[float, float]] | None]
+    singular: list[SingularReplication]  # in replication order
 
 
 def config_dict(cfg: SimConfig) -> dict:
@@ -109,8 +119,8 @@ def oracle_truths(
 
 def replicate_once(
     cfg: SimConfig, rep: int, estimators=(ESTIMATOR_RS, ESTIMATOR_NAIVE), pure_control="gmm"
-) -> dict[str, tuple[float, float]] | None:
-    """One simulate -> estimate replication; None if the system was singular."""
+) -> dict[str, tuple[float, float]] | SingularReplication:
+    """One simulate -> estimate replication, or what made its system singular."""
     rep_cfg = replace(cfg, seed=replication_seed(cfg.seed, rep))
     data = dgp.simulate_experiment(rep_cfg)
     basis = linear_basis()
@@ -133,12 +143,12 @@ def replicate_once(
             nv = estimator.naive_iv(data)
             for i, name in enumerate(NAIVE_ROWS):
                 out[name] = (float(nv.coefficients[i]), float(nv.se[i]))
-    except SingularSystemError:
-        return None
+    except SingularSystemError as exc:
+        return SingularReplication(rep, str(exc), exc.condition_number)
     return out
 
 
-def _worker(args) -> dict[str, tuple[float, float]] | None:
+def _worker(args) -> dict[str, tuple[float, float]] | SingularReplication:
     cfg, rep, estimators, pure_control = args
     return replicate_once(cfg, rep, estimators, pure_control)
 
@@ -167,8 +177,10 @@ def run_mc(
     else:
         results = [_worker(t) for t in tasks]
 
+    singular = [r for r in results if isinstance(r, SingularReplication)]
+    results = [None if isinstance(r, SingularReplication) else r for r in results]
     used = [r for r in results if r is not None]
-    n_excluded = len(results) - len(used)
+    n_excluded = len(singular)
     if not used:
         raise SingularSystemError("every replication produced a singular system")
 
@@ -198,14 +210,16 @@ def run_mc(
         config=config_dict(cfg),
         runtime_seconds=time.perf_counter() - t0,
         per_replication=results,
+        singular=singular,
     )
 
 
 def report_to_json(report: MCReport) -> str:
     """Canonical JSON for an MCReport.
 
-    Excludes wall-clock runtime and per-replication details so that reports
-    from runs with different parallelism are byte-identical.
+    Excludes wall-clock runtime, per-replication details and the singular
+    replications so that reports from runs with different parallelism are
+    byte-identical.
     """
     payload = {
         "reps": report.reps,

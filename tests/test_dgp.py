@@ -11,6 +11,7 @@ from sativ.dgp import (
     ExperimentData,
     GroupData,
     SimConfig,
+    _oracle_draws,
     draw_coefficient,
     oracle_naive_iv_estimands,
     oracle_subpopulation_means,
@@ -332,6 +333,24 @@ class TestOracle:
     def test_min_draws_enforced(self):
         with pytest.raises(ValidationError):
             oracle_subpopulation_means(SEC6, n_draws=10**4)
+
+    def test_means_match_masked_reference(self):
+        # the subpopulation means are per-coefficient sums; a boolean-masked
+        # mean of each subpopulation is the reference, to float64 rounding
+        means = oracle_subpopulation_means(SEC6, n_draws=2 * 10**5, seed=6)
+        c, _, coefs = _oracle_draws(SEC6, 2 * 10**5, 6)
+        assert coefs.shape == (4, 2 * 10**5)
+        ref = {
+            "population": coefs.mean(axis=1),
+            "complier": coefs[:, c == 1.0].mean(axis=1),
+            "never_taker": coefs[:, c == 0.0].mean(axis=1),
+        }
+        for label, m in ref.items():
+            assert means[label].theta_mean == pytest.approx((m[0], m[2]), rel=1e-12, abs=1e-14)
+            if means[label].contrast_mean is not None:
+                assert means[label].contrast_mean == pytest.approx(
+                    (m[1], m[3]), rel=1e-12, abs=1e-14
+                )
 
     def test_naive_estimands_match_covariance_formula(self):
         # gamma_IV = gamma + Cov(Cbar, gamma) / E[Cbar]

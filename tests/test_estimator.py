@@ -21,7 +21,6 @@ from sativ.estimator import (
     TARGET_POPULATION,
     EstimateResult,
     _f_sf,
-    _Rows,
     build_instruments,
     complier_theta,
     compliance_rate,
@@ -341,23 +340,21 @@ class TestIORTest:
 
     def test_matches_reference_cluster_ols(self):
         sm = pytest.importorskip("statsmodels.api")
-        from sativ.estimator import _Rows
 
         dsn = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (10,) * 5)
         cfg = noisy_sec6_config(G=50, n=30, seed=31, design=dsn)
         data = simulate_experiment(cfg)
         res = ior_test(data)
 
-        rows = _Rows(data)
-        offered = rows.z == 1.0
-        sats = np.unique(rows.saturation[offered])
-        d = rows.d[offered]
-        sat = rows.saturation[offered]
+        offered = data.z == 1.0
+        sats = np.unique(data.saturation[offered])
+        d = data.d[offered]
+        sat = data.saturation[offered]
         x = np.column_stack(
             [np.ones_like(d)] + [(sat == s).astype(float) for s in sats[1:]]
         )
         fit = sm.OLS(d, x).fit(
-            cov_type="cluster", cov_kwds={"groups": rows.gidx[offered]}
+            cov_type="cluster", cov_kwds={"groups": data.group_index[offered]}
         )
         restriction = np.hstack([np.zeros((len(sats) - 1, 1)), np.eye(len(sats) - 1)])
         ftest = fit.f_test(restriction)
@@ -448,7 +445,7 @@ def _estimate_bytes(res: EstimateResult) -> tuple:
 
 
 class TestCanonicalOrder:
-    """Every estimator sees rows sorted by (group, z, d, y), ties in data order."""
+    """Every estimator sums rows sorted by (group, z, d, y), ties in data order."""
 
     @settings(max_examples=60, deadline=None)
     @given(groups=_tied_groups())
@@ -456,13 +453,28 @@ class TestCanonicalOrder:
         data = ExperimentData(groups)
         ref = np.lexsort((data.y, data.d, data.z, data.group_index))
         assert np.array_equal(data.row_order, ref)
-        rows = _Rows(data)
-        for name in ("y", "z", "d", "saturation", "n_per_row"):
-            # bytes, so that a swap of -0.0 and 0.0 shows
-            assert getattr(rows, name).tobytes() == getattr(data, name)[ref].tobytes(), name
-        assert np.array_equal(rows.gidx, data.group_index[ref])
+        n_per_row = np.repeat(data.sizes, data.sizes).astype(float)
+        for cells in (data.cells, data.latent_cells):
+            row = cells.row_cell[ref]
+            for name, per_row in (("z", data.z), ("d", data.d),
+                                  ("saturation", data.saturation), ("n", n_per_row)):
+                # bytes, so that a swap of -0.0 and 0.0 shows
+                assert getattr(cells, name)[row].tobytes() == per_row[ref].tobytes(), name
+            assert np.array_equal(cells.group[row], data.group_index[ref])
+            assert np.array_equal(cells.count, np.bincount(cells.row_cell))
+            # the rows cell by cell, each cell's in the canonical order
+            by_cell = ref[np.argsort(row, kind="stable")]
+            assert cells.y.tobytes() == data.y[by_cell].tobytes()
+            assert np.array_equal(cells.rows(cells.group), data.group_index[by_cell])
+        # (group, z, d) cells hold their rows in exactly the canonical order
+        assert data.cells.y.tobytes() == data.y[ref].tobytes()
         # tied rows differ in their true neighbor share
-        assert rows.cbar("oracle").tobytes() == data.cbar_true[ref].tobytes()
+        cbar = np.concatenate(
+            [(g.complier.sum() - g.complier) / (g.n - 1) for g in data.groups]
+        )
+        latent = data.latent_cells
+        assert latent.cbar_true[latent.row_cell[ref]].tobytes() == cbar[ref].tobytes()
+        assert data.cbar_true.tobytes() == cbar.tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -513,6 +525,16 @@ class TestValidationErrors:
         other = SaturationDesign.from_probs((0.1, 0.9), (0.5, 0.5))
         with pytest.raises(ValidationError):
             rsiv_estimate(data, LIN, other, TARGET_JOINT)
+
+    def test_first_off_design_group_named(self):
+        groups = simulate_experiment(noiseless_config(seed=3)).groups[::-1]
+        for i, sat in ((4, 0.3), (7, 0.9)):
+            g = groups[i]
+            groups[i] = GroupData(g.group_id, sat, g.z, g.d, g.y)
+        data = ExperimentData(groups)
+        gid = groups[4].group_id
+        with pytest.raises(ValidationError, match=rf"^group {gid}: saturation 0.3 not in the design$"):
+            rsiv_estimate(data, LIN, INTERIOR, TARGET_JOINT)
 
     def test_pure_control_requires_zero_groups(self):
         data = simulate_experiment(noiseless_config(seed=3))

@@ -1,13 +1,20 @@
-"""Brute-force per-row reference for the transformed instruments and RS-IV fits.
+"""Brute-force per-row reference for the instruments and every fit.
 
 Every row gets its own explicit ``pseudo_inverse(R(cbar, n))``, interpolated
 between scalar ``q_z_at_count`` matrices, with no grouping of rows by key,
-and the estimates are solved from those instruments in data order.  The data
-mix group sizes, include groups with no offered neighbour (Chat falls back
-to 0) and, for the pure-control policies, 0% saturation groups.
+and the estimates are solved from those instruments in data order.  Naive IV
+and the IOR test are solved row by row the same way.  The estimators pool
+rows into (group, z, d) cells, so these references check the pooling.  The
+data mix group sizes, include groups with no offered neighbour (Chat falls
+back to 0) and, for the pure-control policies, 0% saturation groups.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import f as f_dist
 
 from sativ import moments
 from sativ.design import SaturationDesign
@@ -16,11 +23,15 @@ from sativ.estimator import (
     RS_TARGETS,
     TARGET_JOINT,
     TARGET_POPULATION,
+    TARGET_COMPLIER_THETA,
     build_instruments,
     estimate_all,
+    ior_test,
+    naive_iv,
     rsiv_estimate,
     rsiv_pure_control,
 )
+from sativ.errors import SingularSystemError
 from sativ.model import linear_basis, quadratic_basis
 from sativ.streams import substream
 
@@ -108,15 +119,20 @@ def reference_instruments(data, basis, design, target, chat_policy):
             n_deficient)
 
 
-def _sandwich(a, contribs, gidx):
-    scores = np.zeros((gidx.max() + 1, contribs.shape[1]))
+def _influence(a, contribs, gidx, n_groups):
+    """Per-group influence A^{-1} s_g, zero for groups without rows."""
+    scores = np.zeros((n_groups, contribs.shape[1]))
     np.add.at(scores, gidx, contribs)
-    ainv = np.linalg.inv(a)
-    return ainv @ (scores.T @ scores) @ ainv.T
+    return scores @ np.linalg.inv(a).T
+
+
+def _sandwich(a, contribs, gidx):
+    infl = _influence(a, contribs, gidx, gidx.max() + 1)
+    return infl.T @ infl
 
 
 def reference_fit(data, basis, design, target, chat_policy, gmm):
-    """Coefficients and clustered vcov solved from the per-row instruments."""
+    """Coefficients, clustered vcov, rows pseudo-inverted and per-group influence."""
     x, _, zhat, used, n_def = reference_instruments(data, basis, design, target, chat_policy)
     y = data.y
     gidx = data.group_index
@@ -129,14 +145,66 @@ def reference_fit(data, basis, design, target, chat_policy, gmm):
         xhat = zmat @ np.linalg.solve(zmat.T @ zmat, zmat.T @ x)
         a = xhat.T @ x
         coef = np.linalg.solve(a, xhat.T @ y)
-        vcov = _sandwich(a, xhat * (y - x @ coef)[:, None], gidx)
+        infl = _influence(a, xhat * (y - x @ coef)[:, None], gidx, data.n_groups)
     else:
         x, zhat, y, gidx = x[used], zhat[used], y[used], gidx[used]
-        gidx = np.unique(gidx, return_inverse=True)[1].ravel()
         a = zhat.T @ x
         coef = np.linalg.solve(a, zhat.T @ y)
-        vcov = _sandwich(a, zhat * (y - x @ coef)[:, None], gidx)
-    return coef, vcov, n_def
+        infl = _influence(a, zhat * (y - x @ coef)[:, None], gidx, data.n_groups)
+    return coef, infl.T @ infl, n_def, infl
+
+
+def reference_complier_theta(data, design, chat_policy, pure_control):
+    """theta_c = theta_n + (theta - theta_n) / E[C] with its joint delta-method vcov."""
+    basis = linear_basis()
+    gmm = pure_control == "gmm" and design.has_pure_control
+    pop, _, _, pop_infl = reference_fit(data, basis, design, TARGET_POPULATION, chat_policy, gmm)
+    nt, _, _, nt_infl = reference_fit(data, basis, design, "never_taker", chat_policy, False)
+    total_z = data.z.sum()
+    rate = data.d.sum() / total_z
+    rate_infl = [float((g.z * (g.d - rate)).sum()) / total_z for g in data.groups]
+    h = np.column_stack([nt_infl, pop_infl, rate_infl])
+    k = len(pop)
+    jac = np.hstack([(1.0 - 1.0 / rate) * np.eye(k), np.eye(k) / rate,
+                     -((pop - nt) / rate**2)[:, None]])
+    return nt + (pop - nt) / rate, jac @ (h.T @ h) @ jac.T
+
+
+def per_row_dbar(data):
+    return np.concatenate(
+        [(g.d.sum() - g.d.astype(float)) / (g.n - 1) for g in data.groups]
+    )
+
+
+def reference_naive(data):
+    """Naive IV of y on (1, D, Dbar, D*Dbar) with instruments (1, Z, S, ZS), row by row."""
+    d, z, s, y = data.d, data.z, data.saturation, data.y
+    dbar = per_row_dbar(data)
+    one = np.ones_like(y)
+    x = np.column_stack([one, d, dbar, d * dbar])
+    zmat = np.column_stack([one, z, s, z * s])
+    a = zmat.T @ x
+    coef = np.linalg.solve(a, zmat.T @ y)
+    return coef, _sandwich(a, zmat * (y - x @ coef)[:, None], data.group_index)
+
+
+def reference_ior(data):
+    """Cluster-robust Wald test of saturation dummies for D on the offered rows."""
+    offered = data.z == 1.0
+    d, sat = data.d[offered], data.saturation[offered]
+    gidx = np.unique(data.group_index[offered], return_inverse=True)[1].ravel()
+    sats = np.unique(sat)
+    x = np.column_stack([np.ones_like(d)] + [(sat == s).astype(float) for s in sats[1:]])
+    coef = np.linalg.solve(x.T @ x, x.T @ d)
+    n_clusters, (n_obs, n_par) = gidx.max() + 1, x.shape
+    vcov = _sandwich(x.T @ x, x * (d - x @ coef)[:, None], gidx)
+    vcov *= (n_clusters / (n_clusters - 1)) * ((n_obs - 1) / (n_obs - n_par))
+    b = coef[1:]
+    wald = b @ np.linalg.solve(vcov[1:, 1:], b)
+    df = len(sats) - 1
+    rates = [d[sat == s].mean() for s in sats]
+    counts = [int((sat == s).sum()) for s in sats]
+    return wald, f_dist.sf(wald / df, df, n_clusters - 1), rates, counts, n_clusters
 
 
 def assert_close(got, expect):
@@ -159,8 +227,8 @@ def test_estimate_all_matches_per_row_reference(design, pure_control, chat_polic
                        chat_policy=chat_policy, include_naive=False)
     for target in RS_TARGETS:
         gmm = pure_control == "gmm" and target in (TARGET_JOINT, TARGET_POPULATION)
-        coef, vcov, n_def = reference_fit(data, linear_basis(), design, target,
-                                          chat_policy, gmm)
+        coef, vcov, n_def, _ = reference_fit(data, linear_basis(), design, target,
+                                             chat_policy, gmm)
         assert_close(res[target].coefficients, coef)
         assert_close(res[target].vcov, vcov)
         assert res[target].diagnostics.n_pseudo_inverted == n_def
@@ -168,6 +236,9 @@ def test_estimate_all_matches_per_row_reference(design, pure_control, chat_polic
                                pure_control=pure_control, chat_policy=chat_policy)
         assert np.array_equal(single.coefficients, res[target].coefficients)
         assert np.array_equal(single.vcov, res[target].vcov)
+    coef, vcov = reference_complier_theta(data, design, chat_policy, pure_control)
+    assert_close(res[TARGET_COMPLIER_THETA].coefficients, coef)
+    assert_close(res[TARGET_COMPLIER_THETA].vcov, vcov)
 
 
 @pytest.mark.parametrize("chat_policy", ["estimate", "oracle"])
@@ -175,8 +246,8 @@ def test_estimate_all_matches_per_row_reference(design, pure_control, chat_polic
 def test_rsiv_pure_control_matches_per_row_reference(target, chat_policy):
     data = random_data(WITH_ZERO, seed=2718)
     res = rsiv_pure_control(data, linear_basis(), WITH_ZERO, target, chat_policy=chat_policy)
-    coef, vcov, n_def = reference_fit(data, linear_basis(), WITH_ZERO, target,
-                                      chat_policy, gmm=True)
+    coef, vcov, n_def, _ = reference_fit(data, linear_basis(), WITH_ZERO, target,
+                                         chat_policy, gmm=True)
     assert_close(res.coefficients, coef)
     assert_close(res.vcov, vcov)
     assert res.diagnostics.n_pseudo_inverted == n_def
@@ -218,3 +289,102 @@ def test_diagnostics_count_fallback_rows_and_keys(design, pure_control):
         for r in res.values():
             assert r.diagnostics.n_chat_fallback == n_fallback
             assert r.diagnostics.n_instrument_keys == n_keys
+
+
+@pytest.mark.parametrize("design", [INTERIOR, WITH_ZERO], ids=["interior", "zero"])
+def test_naive_iv_matches_per_row_reference(design):
+    data = random_data(design, seed=577)
+    res = naive_iv(data)
+    coef, vcov = reference_naive(data)
+    assert_close(res.coefficients, coef)
+    assert_close(res.vcov, vcov)
+    assert (res.G_used, res.N_used) == (data.n_groups, data.n_individuals)
+
+
+@pytest.mark.parametrize("design", [INTERIOR, WITH_ZERO], ids=["interior", "zero"])
+def test_ior_test_matches_per_row_reference(design):
+    data = random_data(design, seed=1414)
+    res = ior_test(data)
+    wald, p, rates, counts, n_clusters = reference_ior(data)
+    assert_close(res.wald, wald)
+    assert_close(res.p_value, p)
+    assert res.take_up_rates == tuple(rates)
+    assert res.offered_counts == tuple(counts)
+    assert res.n_clusters == n_clusters
+
+
+@st.composite
+def corner_data(draw, design):
+    """Mixed-n groups (2..9 members) plus a Chat=0 and a full take-up group."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sats = list(design.saturations)
+    positive = [s for s in sats if s > 0.0]
+    groups = []
+    for gid in range(draw(st.integers(10, 16))):
+        n = int(rng.integers(2, 10))
+        s = float(sats[gid % len(sats)])
+        z = (rng.random(n) < s).astype(np.int8)
+        c = (rng.random(n) < 0.6).astype(np.int8)
+        groups.append(GroupData(gid, s, z, c * z, rng.standard_normal(n), complier=c))
+    n = int(rng.integers(2, 10))
+    # at most one offered member: its Chat, or every Chat if none, falls back to 0
+    z = np.zeros(n, dtype=np.int8)
+    z[0] = draw(st.integers(0, 1))
+    c = (rng.random(n) < 0.5).astype(np.int8)
+    groups.append(GroupData(len(groups), positive[0], z, c * z, rng.standard_normal(n),
+                            complier=c))
+    # everyone offered takes up: Chat = 1
+    n = int(rng.integers(2, 10))
+    ones = np.ones(n, dtype=np.int8)
+    groups.append(GroupData(len(groups), positive[-1], ones, ones, rng.standard_normal(n),
+                            complier=ones))
+    return ExperimentData(groups)
+
+
+def _fits(data, design, pure_control, chat_policy):
+    try:
+        res = estimate_all(data, linear_basis(), design, pure_control=pure_control,
+                           chat_policy=chat_policy)
+    except SingularSystemError:
+        assume(False)
+    # the per-row reference carries rounding that grows with the condition number
+    assume(all(r.diagnostics.cond_a < 1e5 for r in res.values()))
+    return res
+
+
+@pytest.mark.parametrize("chat_policy", ["estimate", "oracle"])
+@pytest.mark.parametrize("design,pure_control", CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cells_match_per_row_reference_property(design, pure_control, chat_policy, data):
+    sample = data.draw(corner_data(design))
+    res = _fits(sample, design, pure_control, chat_policy)
+    for target in RS_TARGETS:
+        gmm = pure_control == "gmm" and target in (TARGET_JOINT, TARGET_POPULATION)
+        coef, vcov, n_def, _ = reference_fit(sample, linear_basis(), design, target,
+                                             chat_policy, gmm)
+        assert_close(res[target].coefficients, coef)
+        assert_close(res[target].vcov, vcov)
+        assert res[target].diagnostics.n_pseudo_inverted == n_def
+    coef, vcov = reference_naive(sample)
+    assert_close(res["naive_iv"].coefficients, coef)
+    assert_close(res["naive_iv"].vcov, vcov)
+    coef, vcov = reference_complier_theta(sample, design, chat_policy, pure_control)
+    assert_close(res[TARGET_COMPLIER_THETA].coefficients, coef)
+    assert_close(res[TARGET_COMPLIER_THETA].vcov, vcov)
+
+    perm = data.draw(st.permutations(range(sample.n_groups)))
+    reordered = ExperimentData([sample.groups[i] for i in perm])
+    relabelled = ExperimentData(
+        [replace(g, group_id=1000 - 7 * k) for k, g in enumerate(sample.groups)]
+    )
+    for other in (relabelled, reordered):
+        got = estimate_all(other, linear_basis(), design, pure_control=pure_control,
+                           chat_policy=chat_policy)
+        for target in RS_TARGETS + (TARGET_COMPLIER_THETA, "naive_iv"):
+            assert_close(got[target].coefficients, res[target].coefficients)
+            assert_close(got[target].vcov, res[target].vcov)
+            assert got[target].diagnostics.n_pseudo_inverted == (
+                res[target].diagnostics.n_pseudo_inverted
+            )

@@ -3,6 +3,7 @@ import pytest
 from sativ.design import SaturationDesign
 from sativ.dgp import SimConfig
 from sativ.errors import ValidationError
+from sativ.estimator import COND_LIMIT
 from sativ.montecarlo import (
     NAIVE_ROWS,
     RS_ROWS,
@@ -68,6 +69,16 @@ class TestRunMC:
         report = run_mc(cfg, reps=40, estimators=("rs_iv",), oracle_draws=10**5)
         assert 0 < report.n_singular_excluded < 40
         assert report.reps_used + report.n_singular_excluded == 40
+        # each exclusion keeps its replication, message and condition number
+        excluded = [r for r, rec in enumerate(report.per_replication) if rec is None]
+        assert [s.rep for s in report.singular] == excluded
+        for s in report.singular:
+            assert "singular" in s.message
+            assert not s.condition_number < COND_LIMIT
+            assert replicate_once(cfg, s.rep, ("rs_iv",)) == s
+        parallel = run_mc(cfg, reps=40, estimators=("rs_iv",), jobs=2, oracle_draws=10**5)
+        assert parallel.singular == report.singular
+        assert report_to_json(parallel) == report_to_json(report)
 
 
 class TestDeterminism:
