@@ -149,8 +149,8 @@ def _floats(v: np.ndarray) -> list:
     return np.asarray(v, dtype=float).tolist()
 
 
-def _finite_or_none(x: float):
-    return float(x) if np.isfinite(x) else None
+def _finite_or_none(x: float | None):
+    return float(x) if x is not None and np.isfinite(x) else None
 
 
 def _fallback_json(diag: estimator.EstimatorDiagnostics) -> dict:
@@ -298,6 +298,15 @@ def _cmd_montecarlo(args) -> int:
     text = montecarlo.report_to_json(report)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+        # the report stays canonical; the runtime and singular replications go beside it
+        _write_meta(args.out, {
+            "runtime_seconds": report.runtime_seconds,
+            "singular": [
+                {"rep": s.rep, "message": s.message,
+                 "condition_number": _finite_or_none(s.condition_number)}
+                for s in report.singular
+            ],
+        })
     else:
         print(text)
     if args.estimates_csv:

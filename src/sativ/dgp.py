@@ -120,7 +120,7 @@ def draw_coefficient(
     """
     cbar_ig = np.asarray(cbar_ig, dtype=float)
     if sigma_j == 0.0:
-        return np.full(cbar_ig.shape, mean)
+        return np.full(cbar_ig.shape, mean, dtype=float)
     u = rng.standard_normal(cbar_ig.shape)
     return _coefficient(mean, kappa_j, sigma_j, cbar_ig, cbar_moments, u)
 
@@ -133,15 +133,31 @@ def _coefficient(
     cbar_moments: tuple[float, float],
     u: np.ndarray,
 ) -> np.ndarray:
-    """``draw_coefficient``'s formula, given its standard normal draws u (sigma_j > 0)."""
+    """``draw_coefficient``'s formula, given its standard normal draws u (sigma_j > 0).
+
+    It is evaluated in place, in u and at most one new array, with the
+    operations and order of ``mean + sigma_j * (z * kappa_j / scale + u / scale)``
+    and ``z = (cbar - mu) / sd``, so the bytes are those of that expression.
+    u is overwritten.
+    """
     scale = math.sqrt(kappa_j**2 + 1.0)
-    if kappa_j == 0.0:
-        return mean + sigma_j * u / scale
+    if kappa_j == 0.0:  # mean + sigma_j * u / scale
+        u *= sigma_j
+        u /= scale
+        u += mean
+        return u
     mu, sd = cbar_moments
     if sd <= 0.0:
         raise ValidationError("share distribution is degenerate but kappa is nonzero")
-    z = (cbar - mu) / sd
-    return mean + sigma_j * (z * kappa_j / scale + u / scale)
+    coef = np.subtract(cbar, mu)
+    coef /= sd
+    coef *= kappa_j
+    coef /= scale
+    u /= scale
+    coef += u
+    coef *= sigma_j
+    coef += mean
+    return coef
 
 
 @dataclass
@@ -292,9 +308,15 @@ class ExperimentData:
         """The canonical row order: by group, z, d and y, ties in data order.
 
         Estimators sum over rows in this order, so their results do not
-        depend on the order of individuals within a group.
+        depend on the order of individuals within a group.  Two stable sorts
+        give ``np.lexsort((y, cell_key))``'s permutation: by y, then by the
+        key in its narrowest unsigned type, which numpy radix-sorts while
+        it fits in 16 bits (fewer than 16,385 groups).
         """
-        return np.lexsort((self.y, self.cell_key))
+        key = self.cell_key
+        by_y = np.argsort(self.y, kind="stable")
+        narrow = key[by_y].astype(np.min_scalar_type(key.max()))
+        return by_y[np.argsort(narrow, kind="stable")]
 
     @cached_property
     def cells(self) -> Cells:
@@ -437,21 +459,25 @@ def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
 
     Exchangeability within groups means an individual's latent state is fully
     described by the group share and her own complier flag, so no group
-    structure is needed here.
+    structure is needed here.  The coefficients come as an iterator over
+    their four rows (alpha, beta, gamma, delta), each drawn only when the
+    iterator reaches it, so a caller that reduces each row before taking the
+    next never holds more than one.
     """
     if n_draws < 10**5:
         raise ValidationError("oracle needs at least 1e5 draws")
     rng = substream(cfg.seed if seed is None else seed, TAG_ORACLE)
     counts = np.asarray(cfg.complier_counts)
-    idx = rng.choice(len(counts), size=n_draws, p=np.asarray(cfg.probs))
-    k = counts[idx]
+    k = counts[rng.choice(len(counts), size=n_draws, p=np.asarray(cfg.probs))]
     c = (rng.random(n_draws) * cfg.n < k).astype(float)
     cbar = (k - c) / (cfg.n - 1)
+    del k
     moments = share_moments(cfg)
-    coefs = np.empty((4, n_draws))  # one contiguous row per coefficient
-    for j in range(4):
-        coefs[j] = draw_coefficient(cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng)
-    return c, cbar, coefs
+    rows = (
+        draw_coefficient(cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng)
+        for j in range(4)
+    )
+    return c, cbar, rows
 
 
 def oracle_subpopulation_means(
@@ -461,10 +487,16 @@ def oracle_subpopulation_means(
 
     These are the ground-truth targets for the estimator bias checks.
     """
-    c, _, coefs = _oracle_draws(cfg, n_draws, seed)
+    c, _, rows = _oracle_draws(cfg, n_draws, seed)
     n_c = c.sum()
-    total = coefs.sum(axis=1)
-    complier = coefs @ c
+    total, complier = [], []
+    # a plain loop with del: enumerate or zip would keep the last row alive
+    # while the next one is drawn
+    for row in rows:
+        total.append(row.sum())
+        complier.append(row @ c)
+        del row
+    total, complier = np.array(total), np.array(complier)
 
     def _means(m) -> tuple[tuple[float, float], tuple[float, float]]:
         return (float(m[0]), float(m[2])), (float(m[1]), float(m[3]))
@@ -487,9 +519,11 @@ def oracle_naive_iv_estimands(
     alpha_IV = E[alpha],              beta_IV  = E[C beta] / E[C],
     gamma_IV = E[Cbar gamma]/E[Cbar], delta_IV = E[C Cbar delta] / E[C Cbar].
     """
-    c, cbar, coefs = _oracle_draws(cfg, n_draws, seed)
-    alpha_iv = coefs[0].mean()
-    beta_iv = (c * coefs[1]).mean() / c.mean()
-    gamma_iv = (cbar * coefs[2]).mean() / cbar.mean()
-    delta_iv = (c * cbar * coefs[3]).mean() / (c * cbar).mean()
-    return np.array([alpha_iv, beta_iv, gamma_iv, delta_iv])
+    c, cbar, rows = _oracle_draws(cfg, n_draws, seed)
+    weights = iter((None, c, cbar, c * cbar))
+    estimands = []
+    for row in rows:  # one row at a time, as in oracle_subpopulation_means
+        w = next(weights)
+        estimands.append(row.mean() if w is None else (w * row).mean() / w.mean())
+        del row
+    return np.array(estimands)

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from sativ import effects, estimator
-from sativ.cli import design_from_config, load_config, main, write_data_csv, write_latent_csv
+from sativ.cli import (
+    design_from_config,
+    load_config,
+    main,
+    simconfig_from_config,
+    write_data_csv,
+    write_latent_csv,
+)
 from sativ.design import SaturationDesign
 from sativ.dgp import SimConfig, simulate_experiment
 from sativ.estimator import ingest_csv
 from sativ.model import linear_basis
+from sativ.montecarlo import report_to_json, run_mc
 
 
 @pytest.fixture
@@ -142,6 +150,37 @@ class TestSubcommands:
         assert [r["name"] for r in payload["rows"]] == [
             "naive_alpha", "naive_beta", "naive_gamma", "naive_delta",
         ]
+
+    def test_montecarlo_meta_sidecar(self, tmp_path):
+        # tests/test_montecarlo.py's singular-replication study
+        cfg = {
+            "design": {"saturations": [0.25, 0.75], "probs": [0.5, 0.5]},
+            "sim": {"G": 6, "n": 6, "means": [0.5, 0.2, -0.7, 0.8],
+                    "sigma": [0.1, 0.1, 0.1, 0.1], "seed": 90,
+                    "complier_shares": [1 / 3]},
+            "mc": {"reps": 40, "estimators": ["rs_iv"], "oracle_draws": 100000},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        report = run_mc(simconfig_from_config(cfg), reps=40, estimators=("rs_iv",),
+                        oracle_draws=10**5)
+        assert report.singular
+        texts = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"mc{jobs}.json")
+            assert main(["montecarlo", "--config", str(path), "--out", out, "--jobs", jobs]) == 0
+            texts.append(open(out).read())
+            meta = json.loads(open(out + ".meta.json").read())
+            assert set(meta) == {"runtime_seconds", "singular"}
+            assert meta["runtime_seconds"] > 0.0
+            # strict JSON: a non-finite condition number is written as null
+            assert meta["singular"] == [
+                {"rep": s.rep, "message": s.message,
+                 "condition_number": s.condition_number if np.isfinite(s.condition_number) else None}
+                for s in report.singular
+            ]
+        assert texts[0] == texts[1]
+        assert texts[0] == report_to_json(report) + "\n"
 
     def test_latent_output(self, config_path, tmp_path):
         data_path = str(tmp_path / "data.csv")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sativ.dgp import (
 )
 from sativ.errors import ValidationError
 from sativ.moments import binomial_pmf
-from sativ.streams import TAG_GROUP, substream
+from sativ.streams import TAG_GROUP, TAG_ORACLE, substream
 
 SEC6_DESIGN = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (47,) * 5)
 SEC6 = SimConfig(
@@ -194,6 +195,30 @@ def _reference_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupD
     return GroupData(group_id, float(saturation), z, d, y, complier=c, coefs=coefs)
 
 
+def _reference_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
+    """The oracle's draws as one materialized (4, N) block, each coefficient
+    written out as one expression: the oracle as it was before its rows
+    were streamed."""
+    rng = substream(seed, TAG_ORACLE)
+    counts = np.asarray(cfg.complier_counts)
+    k = counts[rng.choice(len(counts), size=n_draws, p=np.asarray(cfg.probs))]
+    c = (rng.random(n_draws) * cfg.n < k).astype(float)
+    cbar = (k - c) / (cfg.n - 1)
+    mu, sd = share_moments(cfg)
+    coefs = np.empty((4, n_draws))
+    for j, (mean, kappa, sigma) in enumerate(zip(cfg.means, cfg.kappa, cfg.sigma)):
+        if sigma == 0.0:
+            coefs[j] = mean
+            continue
+        u = rng.standard_normal(n_draws)
+        scale = math.sqrt(kappa**2 + 1.0)
+        if kappa == 0.0:
+            coefs[j] = mean + sigma * u / scale
+        else:
+            coefs[j] = mean + sigma * ((cbar - mu) / sd * kappa / scale + u / scale)
+    return c, cbar, coefs
+
+
 class TestSimulationDigest:
     """The simulated bytes are fixed: a faster simulator must draw the same
     numbers in the same order and combine them with the same arithmetic.
@@ -338,7 +363,8 @@ class TestOracle:
         # the subpopulation means are per-coefficient sums; a boolean-masked
         # mean of each subpopulation is the reference, to float64 rounding
         means = oracle_subpopulation_means(SEC6, n_draws=2 * 10**5, seed=6)
-        c, _, coefs = _oracle_draws(SEC6, 2 * 10**5, 6)
+        c, _, rows = _oracle_draws(SEC6, 2 * 10**5, 6)
+        coefs = np.stack(list(rows))
         assert coefs.shape == (4, 2 * 10**5)
         ref = {
             "population": coefs.mean(axis=1),
@@ -351,6 +377,43 @@ class TestOracle:
                 assert means[label].contrast_mean == pytest.approx(
                     (m[1], m[3]), rel=1e-12, abs=1e-14
                 )
+
+    # with n = 2 no complier has a complier neighbour, so delta's naive
+    # estimand is 0/0 in both the oracle and the reference
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["sigma0", "kappa0", "kappa", "share_probs", "pair"])
+    def test_streamed_rows_match_block_reference(self, case):
+        cfg = TestSimulationDigest.config(case)
+        c, cbar, coefs = _reference_oracle_draws(cfg, 10**5, 8)
+        means = oracle_subpopulation_means(cfg, 10**5, seed=8)
+        total, complier = coefs.sum(axis=1), coefs @ c
+        ref = {
+            "population": total / 10**5,
+            "complier": complier / c.sum(),
+            "never_taker": (total - complier) / (10**5 - c.sum()),
+        }
+        for label, m in ref.items():
+            got = means[label].theta_mean + (means[label].contrast_mean or (m[1], m[3]))
+            np.testing.assert_allclose(got, m[[0, 2, 1, 3]], rtol=1e-13, atol=0)
+        naive = [
+            coefs[0].mean(),
+            (c * coefs[1]).mean() / c.mean(),
+            (cbar * coefs[2]).mean() / cbar.mean(),
+            (c * cbar * coefs[3]).mean() / (c * cbar).mean(),
+        ]
+        got = oracle_naive_iv_estimands(cfg, 10**5, seed=8)
+        np.testing.assert_allclose(got, naive, rtol=1e-13, atol=0)
+
+    def test_peak_memory_is_a_few_rows(self):
+        # c, cbar, the row being drawn and its normal draws: 8 MB each at
+        # 1e6 draws; a materialized (4, N) block and its temporaries peak at 96 MB
+        tracemalloc.start()
+        try:
+            oracle_subpopulation_means(SEC6, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 10**6
 
     def test_naive_estimands_match_covariance_formula(self):
         # gamma_IV = gamma + Cov(Cbar, gamma) / E[Cbar]

@@ -512,6 +512,24 @@ class TestCanonicalOrder:
             assert run(ExperimentData(data.groups, check=False), call) == used[call]
 
 
+class TestRowOrderKeyWidth:
+    """``row_order`` sorts the cell key in its narrowest unsigned type: 16 bits
+    up to 16,384 groups and 32 bits from there on."""
+
+    @pytest.mark.parametrize("G, width", [(16_384, np.uint16), (16_385, np.uint32)])
+    def test_matches_four_key_lexsort(self, G, width):
+        rng = np.random.default_rng(G)
+        z = rng.integers(0, 2, (G, 2), dtype=np.int8)
+        d = z * rng.integers(0, 2, (G, 2), dtype=np.int8)
+        y = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], (G, 2))  # ties, and -0.0 beside 0.0
+        data = ExperimentData(
+            [GroupData(g, 0.5, z[g], d[g], y[g]) for g in range(G)], check=False
+        )
+        assert np.min_scalar_type(data.cell_key.max()) == width
+        ref = np.lexsort((data.y, data.d, data.z, data.group_index))
+        assert np.array_equal(data.row_order, ref)
+
+
 class TestValidationErrors:
     def test_two_cluster_minimum(self):
         g = GroupData(0, 0.5, np.array([1, 0, 1]), np.array([1, 0, 0]), np.ones(3))
