@@ -518,12 +518,32 @@ def oracle_naive_iv_estimands(
 
     alpha_IV = E[alpha],              beta_IV  = E[C beta] / E[C],
     gamma_IV = E[Cbar gamma]/E[Cbar], delta_IV = E[C Cbar delta] / E[C Cbar].
+
+    A ratio whose denominator is 0 in the draws is undefined and raises
+    ``ValidationError``: E[C Cbar] = 0 when no complier has a complier
+    neighbour (n = 2 with one complier per group), E[C] = E[Cbar] = 0
+    without compliers.
     """
     c, cbar, rows = _oracle_draws(cfg, n_draws, seed)
-    weights = iter((None, c, cbar, c * cbar))
+    weights = iter(
+        (
+            (None, None, None),
+            ("beta_IV", "E[C]", c),
+            ("gamma_IV", "E[Cbar]", cbar),
+            ("delta_IV", "E[C Cbar]", c * cbar),
+        )
+    )
     estimands = []
     for row in rows:  # one row at a time, as in oracle_subpopulation_means
-        w = next(weights)
-        estimands.append(row.mean() if w is None else (w * row).mean() / w.mean())
+        name, moment, w = next(weights)
+        if w is None:
+            estimands.append(row.mean())
+        else:
+            mean_w = w.mean()
+            if mean_w == 0.0:
+                raise ValidationError(
+                    f"naive-IV estimand {name} is undefined: {moment} = 0 in the oracle draws"
+                )
+            estimands.append((w * row).mean() / mean_w)
         del row
     return np.array(estimands)

@@ -11,7 +11,6 @@ solving the over-identified system by two-stage least squares.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -271,15 +270,20 @@ def _fit_iv(
 ) -> _CoreResult:
     """Just-identified IV of y on x with instruments ``inst``, clustered by group.
 
-    x, inst and y hold one row per individual, in the order of ``cells.y``.
+    x and inst hold one row per cell, y one per individual in the order of
+    ``cells.y``.  The sums run over rows, each cell's values repeated, so
+    that they round as the per-row fit does; products such as the fitted
+    values X beta depend only on the cell and are taken per cell, which
+    gives the same bytes without a row copy.
     """
     _check_clusters(cells)
-    a = inst.T @ x
+    inst_rows = cells.rows(inst)
+    a = inst_rows.T @ cells.rows(x)
     diag.cond_a = float(np.linalg.cond(a))
     _require_well_conditioned(diag.cond_a, "instrument-regressor cross-product")
-    coef = np.linalg.solve(a, inst.T @ y)
-    u = y - x @ coef
-    scores = np.add.reduceat(inst * u[:, None], cells.row_starts, axis=0)
+    coef = np.linalg.solve(a, inst_rows.T @ y)
+    inst_rows *= (y - cells.rows(x @ coef))[:, None]  # the score of each row
+    scores = np.add.reduceat(inst_rows, cells.row_starts, axis=0)
     vcov, ainv = _cluster_sandwich(a, scores, df_correction)
     result = EstimateResult(
         target=target,
@@ -301,11 +305,17 @@ def _solve_2sls(
     diag: EstimatorDiagnostics,
     df_correction: bool,
 ) -> _CoreResult:
-    """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}: IV on the fitted Xhat."""
+    """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}: IV on the fitted Xhat.
+
+    x and zmat hold one row per cell and yv one per individual, as in ``_fit_iv``.
+    """
     _check_clusters(cells)
-    zz = zmat.T @ zmat
+    z_rows = cells.rows(zmat)
+    zz = z_rows.T @ z_rows
     _require_well_conditioned(float(np.linalg.cond(zz)), "instrument cross-product")
-    xhat = zmat @ np.linalg.solve(zz, zmat.T @ x)
+    zx = z_rows.T @ cells.rows(x)
+    del z_rows  # before _fit_iv makes its own row copies
+    xhat = zmat @ np.linalg.solve(zz, zx)
     return _fit_iv(cells, x, xhat, yv, target, diag, df_correction)
 
 
@@ -332,7 +342,7 @@ def _core_rsiv(
     x, w = _target_arrays(cells, basis, target)
     zhat = plan.zhat(target, w)
     diag = plan.diagnostics(target, pure_control)
-    return _fit_iv(cells, cells.rows(x), cells.rows(zhat), cells.y, target, diag, df_correction)
+    return _fit_iv(cells, x, zhat, cells.y, target, diag, df_correction)
 
 
 def _core_pure_control(
@@ -354,9 +364,7 @@ def _core_pure_control(
         x = (1.0 - cells.z)[:, None] * x
         yv = cells.rows(1.0 - cells.z) * yv
     diag = plan.diagnostics(target, "gmm")
-    return _solve_2sls(
-        cells, cells.rows(x), cells.rows(zmat), yv, target, diag, df_correction
-    )
+    return _solve_2sls(cells, x, zmat, yv, target, diag, df_correction)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +611,7 @@ def naive_iv(data: ExperimentData, *, df_correction: bool = False) -> EstimateRe
     x = np.column_stack([one, cells.d, cells.dbar, cells.d * cells.dbar])
     zmat = np.column_stack([one, cells.z, cells.saturation, cells.z * cells.saturation])
     diag = EstimatorDiagnostics(n_pseudo_inverted=0, min_abs_det_r=math.nan)
-    return _fit_iv(
-        cells, cells.rows(x), cells.rows(zmat), cells.y, TARGET_NAIVE, diag, df_correction
-    ).result
+    return _fit_iv(cells, x, zmat, cells.y, TARGET_NAIVE, diag, df_correction).result
 
 
 def ior_test(data: ExperimentData) -> IORTestResult:
@@ -667,14 +673,17 @@ def _f_sf(x: float, df1: int, df2: int) -> float:
     return float(fdtrc(df1, df2, max(x, 0.0)))
 
 
-def _reject_rows(body: str) -> NoReturn:
+def _reject_rows(path) -> NoReturn:
     """Check the data rows one at a time and raise for the first fault.
 
     The slow twin of ``ingest_csv``'s vectorized checks, run only on a file
     that fails them, so that the error names the faulty row and reason.
     """
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # the header
+        body = fh.readlines()
     groups: dict[int, list] = {}  # group id -> [saturation, first row, size]
-    for lineno, row in enumerate(csv.reader(io.StringIO(body)), start=2):
+    for lineno, row in enumerate(csv.reader(body), start=2):
         if len(row) != 5:
             raise ValidationError(f"row {lineno}: expected 5 fields, got {len(row)}")
         try:
@@ -722,26 +731,32 @@ def ingest_csv(path) -> ExperimentData:
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    head, _, body = text.partition("\n")
-    header = next(csv.reader([head])) if text else None
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    header = next(csv.reader([text[:end]])) if text else None
     if header is None or tuple(header) != CSV_HEADER:
         raise ValidationError(
             f"bad header {header}; expected {','.join(CSV_HEADER)}"
         )
-    if not body:
+    if end >= len(text) - 1:
         raise ValidationError("data file contains no rows")
-    if "\n\n" in "\n" + body:  # np.loadtxt would skip the blank line
-        _reject_rows(body)
+    # the header holds no newline, so this is a blank data line, which
+    # np.loadtxt would skip
+    blank = "\n\n" in text
+    del text  # numpy parses the rows from the file, a line at a time
+    if blank:
+        _reject_rows(path)
     try:
         # numpy releases before 2.0 only warn, and truncate, on "1.5" in an int column
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), open(path, encoding="utf-8") as fh:
             warnings.simplefilter("error", DeprecationWarning)
+            fh.readline()  # the header
             rec = np.loadtxt(
-                io.StringIO(body), dtype=_CSV_DTYPE, delimiter=",", comments=None,
-                quotechar='"', ndmin=1,
+                fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1
             )
     except (ValueError, DeprecationWarning):
-        _reject_rows(body)
+        _reject_rows(path)
 
     ids, first, inverse = np.unique(rec["group_id"], return_index=True, return_inverse=True)
     by_first = np.argsort(first)
@@ -757,7 +772,7 @@ def ingest_csv(path) -> ExperimentData:
         | (sat != sat[first][inverse])
     )
     if bad.any() or (sizes < 2).any():
-        _reject_rows(body)
+        _reject_rows(path)
 
     order = np.argsort(group_of, kind="stable")
     z = z[order].astype(np.int8)

@@ -378,9 +378,6 @@ class TestOracle:
                     (m[1], m[3]), rel=1e-12, abs=1e-14
                 )
 
-    # with n = 2 no complier has a complier neighbour, so delta's naive
-    # estimand is 0/0 in both the oracle and the reference
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("case", ["sigma0", "kappa0", "kappa", "share_probs", "pair"])
     def test_streamed_rows_match_block_reference(self, case):
         cfg = TestSimulationDigest.config(case)
@@ -398,6 +395,12 @@ class TestOracle:
                 np.testing.assert_allclose(
                     means[label].contrast_mean, m[[1, 3]], rtol=1e-13, atol=0
                 )
+        if case == "pair":
+            # with n = 2 no complier has a complier neighbour: E[C Cbar] = 0
+            assert (c * cbar).sum() == 0.0
+            with pytest.raises(ValidationError, match=r"delta_IV .*E\[C Cbar\] = 0"):
+                oracle_naive_iv_estimands(cfg, 10**5, seed=8)
+            return
         naive = [
             coefs[0].mean(),
             (c * coefs[1]).mean() / c.mean(),
@@ -406,6 +409,11 @@ class TestOracle:
         ]
         got = oracle_naive_iv_estimands(cfg, 10**5, seed=8)
         np.testing.assert_allclose(got, naive, rtol=1e-13, atol=0)
+
+    def test_naive_estimands_need_compliers(self):
+        cfg = homogeneous_config(complier_shares=(0.0,), sigma=(0.3, 0.3, 0.2, 0.4))
+        with pytest.raises(ValidationError, match=r"beta_IV .*E\[C\] = 0"):
+            oracle_naive_iv_estimands(cfg, 10**5, seed=9)
 
     def test_peak_memory_is_a_few_rows(self):
         # c, cbar, the row being drawn and its normal draws: 8 MB each at

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import f as f_dist
 
-from sativ import moments
+from sativ import estimator, moments
 from sativ.design import SaturationDesign
 from sativ.dgp import ExperimentData, GroupData
 from sativ.estimator import (
@@ -388,3 +388,71 @@ def test_cells_match_per_row_reference_property(design, pure_control, chat_polic
             assert got[target].diagnostics.n_pseudo_inverted == (
                 res[target].diagnostics.n_pseudo_inverted
             )
+
+
+def _row_fit_iv(cells, x, inst, y):
+    """The just-identified fit with every operand a per-row array (x, inst and y
+    in the order of ``cells.y``): the byte reference for the per-cell products."""
+    a = inst.T @ x
+    coef = np.linalg.solve(a, inst.T @ y)
+    u = y - x @ coef
+    scores = np.add.reduceat(inst * u[:, None], cells.row_starts, axis=0)
+    ainv = np.linalg.inv(a)
+    vcov = ainv @ (scores.T @ scores) @ ainv.T
+    return coef, (vcov + vcov.T) / 2.0
+
+
+def _row_solve_2sls(cells, x, zmat, y):
+    """2SLS with per-row operands: Xhat is a row array."""
+    xhat = zmat @ np.linalg.solve(zmat.T @ zmat, zmat.T @ x)
+    return _row_fit_iv(cells, x, xhat, y)
+
+
+def row_product_fits(data, design, pure_control, chat_policy):
+    """Coefficients and vcov of every RS target and naive IV from per-row products."""
+    basis = linear_basis()
+    cells = estimator._cells(data, chat_policy)
+    plan = estimator._InstrumentPlan(cells, basis, design, chat_policy)
+    gmm = design.has_pure_control and pure_control == "gmm" and data.has_pure_control_groups
+    kept = cells.take(plan.mask) if design.has_pure_control else cells
+    fits = {}
+    for target in RS_TARGETS:
+        if gmm and target in (TARGET_JOINT, TARGET_POPULATION):
+            x, w = estimator._target_arrays(cells, basis, target)
+            zmat = np.zeros((len(cells.count), x.shape[1] + 1))
+            zmat[plan.mask, :-1] = plan.zhat(target, w[plan.mask])
+            zmat[~plan.mask, -1] = 1.0
+            y = cells.y
+            if target == TARGET_POPULATION:
+                x = (1.0 - cells.z)[:, None] * x
+                y = cells.rows(1.0 - cells.z) * y
+            fits[target] = _row_solve_2sls(cells, cells.rows(x), cells.rows(zmat), y)
+        else:
+            x, w = estimator._target_arrays(kept, basis, target)
+            zhat = plan.zhat(target, w)
+            fits[target] = _row_fit_iv(kept, kept.rows(x), kept.rows(zhat), kept.y)
+    cells = data.cells
+    one = np.ones_like(cells.z)
+    x = np.column_stack([one, cells.d, cells.dbar, cells.d * cells.dbar])
+    zmat = np.column_stack([one, cells.z, cells.saturation, cells.z * cells.saturation])
+    fits["naive_iv"] = _row_fit_iv(cells, cells.rows(x), cells.rows(zmat), cells.y)
+    return fits
+
+
+@pytest.mark.parametrize("chat_policy", ["estimate", "oracle"])
+@pytest.mark.parametrize("design,pure_control", CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cell_products_match_row_products_bytes(design, pure_control, chat_policy, data):
+    # Xbeta and the 2SLS Xhat are constant within a cell, so taking them per
+    # cell must give the bytes of the per-row products
+    sample = data.draw(corner_data(design))
+    try:
+        res = estimate_all(sample, linear_basis(), design, pure_control=pure_control,
+                           chat_policy=chat_policy)
+    except SingularSystemError:
+        assume(False)
+    for target, (coef, vcov) in row_product_fits(sample, design, pure_control,
+                                                 chat_policy).items():
+        assert np.array_equal(res[target].coefficients, coef), target
+        assert np.array_equal(res[target].vcov, vcov), target
