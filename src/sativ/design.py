@@ -160,11 +160,11 @@ def validate_design(
             rel_dets.append(det / diag_prod if diag_prod > 0 else 0.0)
             min_eigs.append(float(np.linalg.eigvalsh(q)[0]))
 
-    for cbar in cbar_grid:
-        for n in n_grid:
-            q0 = moments.q_extended(basis, cbar, n, design, z=0)
-            q1 = moments.q_extended(basis, cbar, n, design, z=1)
-            _record(q0, q1)
+    cbars, sizes = (a.ravel() for a in np.meshgrid(cbar_grid, n_grid, indexing="ij"))
+    q0s, q1s = (moments.q_extended(basis, cbars, sizes, design, z) for z in (0, 1))
+    for i, cbar in enumerate(cbar_grid):
+        for j in range(i * len(n_grid), (i + 1) * len(n_grid)):
+            _record(q0s[j], q1s[j])
         _record(
             moments.q_limit(basis, cbar, design, z=0),
             moments.q_limit(basis, cbar, design, z=1),

@@ -161,7 +161,7 @@ class _InstrumentPlan:
     """Zhat = R(cbar, n)^+ W for every RS target of one dataset.
 
     R depends on a cell only through its key (cbar, n), so Q0/Q1 are built
-    once per key (one ``q_extended`` call per distinct n and z) and each R
+    once per key (one ``q_extended`` call per z, over every size) and each R
     family (Q0, Q1, stacked Q) gets one batched pseudo-inverse shared by all
     targets.  The plan covers the cells of ``mask``: with a 0% saturation in
     the design, the groups with S > 0, and the moments condition on S > 0.
@@ -188,13 +188,8 @@ class _InstrumentPlan:
         )
         self.key_of_cell = key_of_cell.ravel()
         self.n_keys = len(keys)
-        k = basis.k
-        self.q0 = np.empty((self.n_keys, k, k))
-        self.q1 = np.empty((self.n_keys, k, k))
-        for size in np.unique(keys[:, 1]):
-            at = keys[:, 1] == size
-            self.q0[at] = moments.q_extended(basis, keys[at, 0], int(size), design, 0)
-            self.q1[at] = moments.q_extended(basis, keys[at, 0], int(size), design, 1)
+        self.q0 = moments.q_extended(basis, keys[:, 0], keys[:, 1].astype(np.int64), design, 0)
+        self.q1 = moments.q_extended(basis, keys[:, 0], keys[:, 1].astype(np.int64), design, 1)
         self._families: dict[str, tuple[np.ndarray, int, float]] = {}
 
     def _family(self, target: str) -> tuple[np.ndarray, int, float]:

@@ -8,9 +8,9 @@ enumeration, the closed forms for the linear basis, the linear-interpolation
 extension to non-integer (n-1)*cbar, the large-n limit matrices, the 2x2
 block inverse of the stacked Q, and a symmetric Moore-Penrose pseudo-inverse.
 
-``q_z_at_count`` and ``q_extended`` also take a 1-D array of counts or cbar
-values and return a (m, K, K) stack from one call; ``assemble_q`` and
-``pseudo_inverse_stack`` work on such stacks.
+``q_z_at_count`` and ``q_extended`` also take 1-D arrays of counts or cbar
+values and of group sizes n, and return a (m, K, K) stack from one call;
+``assemble_q`` and ``pseudo_inverse_stack`` work on such stacks.
 """
 from __future__ import annotations
 
@@ -93,8 +93,17 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
+def _sizes(n, shape: tuple) -> np.ndarray:
+    sizes = np.asarray(n)
+    if sizes.ndim and (sizes.shape != shape or sizes.dtype.kind not in "iu"):
+        raise ValidationError("n must be an integer or a 1-D integer array aligned with count or cbar")
+    if np.min(sizes, initial=2) < 2:
+        raise ValidationError("group size must be at least 2")
+    return np.broadcast_to(sizes, shape).astype(np.int64)
+
+
 def q_z_at_count(
-    basis: BasisSpec, count, n: int, design: SaturationDesign, z: int
+    basis: BasisSpec, count, n, design: SaturationDesign, z: int
 ) -> np.ndarray:
     """Q_z at an integer neighbor complier count, i.e. cbar = count/(n-1).
 
@@ -102,31 +111,31 @@ def q_z_at_count(
     (n-1)*Dbar ~ Binomial(count, s_j).
 
     ``count`` is an integer, giving a (K, K) matrix, or a 1-D integer array,
-    giving the (len(count), K, K) stack of Q_z at each count.  The array form
-    enumerates all counts in one stacked product over zero-padded pmf rows
-    and equals the scalar form at each count bit for bit.
+    giving the (len(count), K, K) stack of Q_z at each count, with ``n`` an
+    integer or an aligned 1-D integer array.  The array form takes one pmf
+    table per saturation and, per size, the stacked product over zero-padded
+    pmf rows, and equals the scalar form at each (count, n) bit for bit.
     """
-    if n < 2:
-        raise ValidationError("group size must be at least 2")
     counts = np.atleast_1d(np.asarray(count))
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
         raise ValidationError("complier count must be an integer or a 1-D integer array")
-    if counts.min() < 0 or counts.max() > n - 1:
+    sizes = _sizes(n, counts.shape)
+    if counts.min() < 0 or np.any(counts > sizes - 1):
         raise ValidationError("complier count outside 0..n-1")
     if z not in (0, 1):
         raise ValidationError("z must be 0 or 1")
-    k = basis.k
-    out = np.zeros((len(counts), k, k))
-    grid = np.arange(int(counts.max()) + 1) / (n - 1)
-    fvals = basis.values(grid)  # (max count + 1, K)
-    for s, w in zip(design.saturations, design.weights):
-        zweight = w * (s if z == 1 else 1.0 - s)
-        if zweight == 0.0:
-            continue
-        pmf = _pmf_rows(counts, s)
-        out += zweight * (fvals.T @ (pmf[:, :, None] * fvals))
+    distinct, pmf_row = np.unique(counts, return_inverse=True)
+    pmfs = [(zweight, _pmf_rows(distinct, s)) for s, w in zip(design.saturations, design.weights)
+            if (zweight := w * (s if z == 1 else 1.0 - s)) != 0.0]
+    out = np.zeros((len(counts), basis.k, basis.k))
+    for size in np.unique(sizes):
+        at = np.flatnonzero(sizes == size)
+        width = int(counts[at].max()) + 1
+        fvals = basis.values(np.arange(width) / (size - 1))  # (width, K)
+        for zweight, pmf in pmfs:
+            out[at] += zweight * (fvals.T @ (pmf[pmf_row[at], :width][:, :, None] * fvals))
     out = _symmetrize(out)
-    return out if np.ndim(count) else out[0]
+    return out if np.ndim(count) or np.ndim(n) else out[0]
 
 
 def q_exact(
@@ -188,7 +197,7 @@ def q_linear_closed_form(
 def q_extended(
     basis: BasisSpec,
     cbar,
-    n: int,
+    n,
     design: SaturationDesign,
     z: int,
     condition_on_positive: bool = False,
@@ -199,22 +208,26 @@ def q_extended(
     complier counts; returns the exact value when (n-1)*cbar is an integer.
     ``cbar`` is a float, giving a (K, K) matrix, or a 1-D array, giving the
     (len(cbar), K, K) stack from a single ``q_z_at_count`` call over the
-    integer counts the values need.
+    integer (count, n) pairs the values need.  ``n`` is an integer or an
+    aligned 1-D integer array.
     """
     cbars = np.atleast_1d(np.asarray(cbar, dtype=float))
     if np.any((cbars < 0.0) | (cbars > 1.0)):
         raise ValidationError("cbar must lie in [0, 1]")
+    sizes = _sizes(n, cbars.shape)
     dsn = design.positive_part() if condition_on_positive else design
-    count = (n - 1) * cbars
+    count = (sizes - 1) * cbars
     nearest = np.round(count)
     exact = np.abs(count - nearest) <= INTEGER_TOL
     lower = np.where(exact, nearest, np.floor(count))
     upper = np.where(exact, nearest, lower + 1)
     omega = np.where(exact, 0.0, count - lower)[:, None, None]
-    needed, index = np.unique(np.concatenate([lower, upper]).astype(np.int64), return_inverse=True)
-    q_lower, q_upper = np.split(q_z_at_count(basis, needed, n, dsn, z)[index.ravel()], 2)
+    span = int(sizes.max(initial=2))  # count < n <= span: count + span * n keys the pair
+    keys = np.concatenate([lower, upper]).astype(np.int64) + span * np.tile(sizes, 2)
+    keys, index = np.unique(keys, return_inverse=True)
+    q_lower, q_upper = np.split(q_z_at_count(basis, keys % span, keys // span, dsn, z)[index], 2)
     out = (1.0 - omega) * q_lower + omega * q_upper
-    return out if np.ndim(cbar) else out[0]
+    return out if np.ndim(cbar) or np.ndim(n) else out[0]
 
 
 def q_limit(basis: BasisSpec, cbar: float, design: SaturationDesign, z: int) -> np.ndarray:

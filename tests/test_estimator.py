@@ -531,6 +531,45 @@ class TestRowOrderKeyWidth:
         assert np.array_equal(data.row_order, ref)
 
 
+class TestRowOrderYSort:
+    """``row_order`` sorts y with the default sort kind when the sorted y is
+    strictly increasing and with the stable kind otherwise (ties, -0.0 beside
+    0.0, nan); both give the four-key lexsort's permutation."""
+
+    @staticmethod
+    def _data(y: np.ndarray) -> ExperimentData:
+        rng = np.random.default_rng(len(y))
+        G = len(y) // 4
+        z = rng.integers(0, 2, (G, 4), dtype=np.int8)
+        d = z * rng.integers(0, 2, (G, 4), dtype=np.int8)
+        z[0], d[0] = 1, 0  # group 0's rows share one (z, d) cell
+        groups = [GroupData(g, 0.5, z[g], d[g], y[4 * g: 4 * g + 4]) for g in range(G)]
+        return ExperimentData(groups)  # validated: nan y is accepted
+
+    @staticmethod
+    def _lexsort(data: ExperimentData) -> np.ndarray:
+        return np.lexsort((data.y, data.d, data.z, data.group_index))
+
+    def test_continuous_y(self):
+        data = simulate_experiment(noisy_sec6_config(G=40, n=12))
+        sorted_y = np.sort(data.y)
+        assert np.all(sorted_y[1:] > sorted_y[:-1])  # the default-kind path
+        assert np.array_equal(data.row_order, self._lexsort(data))
+
+    @pytest.mark.parametrize("case", ["ties", "signed-zeros", "nan"])
+    def test_fallback_keeps_data_order(self, case):
+        y = np.random.default_rng(3).normal(size=4000)
+        if case == "ties":
+            y = np.round(y, 1)
+        elif case == "signed-zeros":
+            y[:4] = (0.0, -0.0, 0.0, -0.0)  # equal y in one cell, kept in data order
+        else:
+            y[[5, 17, 2000]] = np.nan
+        data = self._data(y)
+        assert np.array_equal(data.row_order, self._lexsort(data))
+        assert data.cells.y.tobytes() == data.y[self._lexsort(data)].tobytes()
+
+
 class TestValidationErrors:
     def test_two_cluster_minimum(self):
         g = GroupData(0, 0.5, np.array([1, 0, 1]), np.array([1, 0, 0]), np.ones(3))
@@ -745,6 +784,59 @@ class TestIngestCsv(object):
         assert data.groups[0].z.tolist() == [1, 0]
 
 
+class TestMixedSizeRoundTrip:
+    """10x the Sec. 6 groups with sizes spread over 20..212, as in the pipeline
+    benchmark: ~190 distinct n and ~4,700 instrument keys."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        from dataclasses import replace
+
+        from sativ.dgp import simulate_group
+
+        base = noisy_sec6_config(G=2350, seed=8)
+        rng = np.random.default_rng(8)
+        sizes = rng.integers(20, 213, base.G)
+        sats = rng.permutation(np.repeat(base.design.saturations, base.design.counts))
+        configs = {n: replace(base, n=n) for n in set(sizes.tolist())}
+        groups = [
+            simulate_group(configs[n], g, s) for g, (n, s) in enumerate(zip(sizes.tolist(), sats))
+        ]
+        return ExperimentData(groups, check=False), base.design
+
+    def test_csv_round_trip_estimates_bit_identical(self, mixed, tmp_path):
+        from sativ.cli import write_data_csv
+
+        data, design = mixed
+        path = tmp_path / "mixed.csv"
+        write_data_csv(data, path)
+        ingested = ingest_csv(path)
+        assert ingested.n_individuals == data.n_individuals
+        got, want = (
+            {k: _estimate_bytes(v) for k, v in
+             estimate_all(d, LIN, design, pure_control="gmm", include_naive=True).items()}
+            for d in (ingested, data)
+        )
+        assert got == want
+        assert repr(ior_test(ingested)) == repr(ior_test(data))
+
+    def test_plan_q_tables_equal_per_size_scalar_calls(self, mixed):
+        from sativ import estimator, moments
+
+        data, design = mixed
+        cells = estimator._cells(data, "estimate")
+        plan = estimator._InstrumentPlan(cells, LIN, design, "estimate")
+        keys = np.unique(np.column_stack([cells.chat, cells.n])[plan.mask], axis=0)
+        assert len(keys) == plan.n_keys > 4000
+        assert len(np.unique(keys[:, 1])) > 150
+        positive = design.positive_part()  # the plan covers the groups with S > 0
+        for size in np.unique(keys[:, 1]):
+            at = keys[:, 1] == size
+            for z, q in ((0, plan.q0), (1, plan.q1)):
+                ref = moments.q_extended(LIN, keys[at, 0], int(size), positive, z)
+                assert q[at].tobytes() == ref.tobytes()
+
+
 class TestPeakMemory:
     """Traced peaks at 10x the Sec. 6 groups (G=2350, n=116, N=272,600).
 
@@ -776,6 +868,20 @@ class TestPeakMemory:
 
     def test_ingest_csv_releases_the_text_before_parsing(self, csv_path):
         assert self._peak(ingest_csv, csv_path) < 28 * 10**6
+
+    def test_row_order_peaks_no_higher_than_two_stable_sorts(self, csv_path):
+        def stable_row_order(data):
+            key = data.cell_key
+            by_y = np.argsort(data.y, kind="stable")
+            narrow = key[by_y].astype(np.min_scalar_type(key.max()))
+            return by_y[np.argsort(narrow, kind="stable")]
+
+        data = ingest_csv(csv_path)
+        data.cell_key  # cached before either trace
+        stable_peak = self._peak(stable_row_order, data)
+        peak = self._peak(lambda: data.row_order)
+        assert np.array_equal(data.row_order, stable_row_order(data))
+        assert peak <= stable_peak
 
     def test_estimate_all_expands_only_sum_operands_to_rows(self, csv_path):
         data = ingest_csv(csv_path)

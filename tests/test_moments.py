@@ -113,6 +113,47 @@ class TestArrayForm:
                 one = q_extended(quadratic_basis(), float(c), 11, SEC6_DESIGN, z)
                 assert np.array_equal(q, one)
 
+    def test_q_z_at_count_mixed_sizes_equal_scalar(self):
+        # shuffled (count, n) pairs over five sizes, with counts 0 and n-1 at each
+        rng = np.random.default_rng(8)
+        sizes = [2, 5, 20, 116, 212]
+        pairs = [(c, n) for n in sizes for c in {0, n - 1, *rng.integers(0, n, 4).tolist()}]
+        counts, ns = rng.permutation(pairs).T
+        for basis in (LIN, quadratic_basis()):
+            for design in (SEC6_DESIGN, TWO_SAT):
+                for z in (0, 1):
+                    stack = q_z_at_count(basis, counts, ns, design, z)
+                    for c, n, q in zip(counts, ns, stack):
+                        assert np.array_equal(q, scalar_q_z(basis, c, n, design, z))
+
+    def test_q_extended_mixed_sizes_equal_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        ns = rng.permutation(np.repeat([2, 5, 20, 116, 212], 5))
+        cbars = rng.random(len(ns))
+        cbars[:4] = (0.0, 1.0, 3 / 19, 0.5)
+        for basis in (LIN, quadratic_basis()):
+            for design in (SEC6_DESIGN, TWO_SAT):
+                for z in (0, 1):
+                    stack = q_extended(basis, cbars, ns, design, z)
+                    for c, n, q in zip(cbars, ns, stack):
+                        assert np.array_equal(q, q_extended(basis, float(c), int(n), design, z))
+
+    def test_array_n_rejections(self):
+        counts = np.array([0, 3, 4])
+        for bad_n in (
+            np.array([5, 5]),  # misaligned with the counts
+            np.array([[5, 5, 5]]),
+            np.array([5, 1, 5]),  # a size below 2
+            np.array([5.0, 5.0, 5.0]),  # float sizes
+            np.array([5, 5, 4]),  # count 4 above its own n-1 = 3
+        ):
+            with pytest.raises(ValidationError):
+                q_z_at_count(LIN, counts, bad_n, TWO_SAT, 0)
+        assert q_z_at_count(LIN, counts, np.array([5, 5, 5]), TWO_SAT, 0).shape == (3, 2, 2)
+        for bad_n in (np.array([5, 5]), np.array([5, 1, 5]), np.array([5.0, 5.0, 5.0])):
+            with pytest.raises(ValidationError):
+                q_extended(LIN, np.array([0.1, 0.5, 0.9]), bad_n, TWO_SAT, 1)
+
     def test_pseudo_inverse_stack_flags_rank_deficient(self):
         stack = np.stack([np.diag([2.0, 4.0]), np.diag([2.0, 0.0]), np.zeros((2, 2))])
         pinv, deficient = pseudo_inverse_stack(stack)
