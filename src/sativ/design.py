@@ -160,7 +160,10 @@ def validate_design(
             rel_dets.append(det / diag_prod if diag_prod > 0 else 0.0)
             min_eigs.append(float(np.linalg.eigvalsh(q)[0]))
 
-    cbars, sizes = (a.ravel() for a in np.meshgrid(cbar_grid, n_grid, indexing="ij"))
+    sizes = np.asarray(n_grid)
+    if sizes.dtype.kind == "f" and np.all(sizes == np.round(sizes)):  # integral floats, e.g. 11.0
+        sizes = sizes.astype(np.int64)
+    cbars, sizes = (a.ravel() for a in np.meshgrid(cbar_grid, sizes, indexing="ij"))
     q0s, q1s = (moments.q_extended(basis, cbars, sizes, design, z) for z in (0, 1))
     for i, cbar in enumerate(cbar_grid):
         for j in range(i * len(n_grid), (i + 1) * len(n_grid)):

@@ -308,15 +308,13 @@ class ExperimentData:
         """The canonical row order: by group, z, d and y, ties in data order.
 
         Estimators sum over rows in this order, so their results do not
-        depend on the order of individuals within a group.  Two sorts give
-        ``np.lexsort((y, cell_key))``'s permutation: by y (stable only if y
-        ties), then stably by the key in its narrowest unsigned type, which
-        numpy radix-sorts while it fits in 16 bits (< 16,385 groups).
+        depend on the order of individuals within a group.  Two stable sorts
+        give ``np.lexsort((y, cell_key))``'s permutation: by y, then by the
+        key in its narrowest unsigned type, which numpy radix-sorts while
+        it fits in 16 bits (fewer than 16,385 groups).
         """
         key = self.cell_key
-        by_y = np.argsort(self.y)
-        if not np.all(np.diff(self.y[by_y]) > 0.0):  # ties, -0.0 beside 0.0, or nan
-            by_y = np.argsort(self.y, kind="stable")
+        by_y = np.argsort(self.y, kind="stable")
         narrow = key[by_y].astype(np.min_scalar_type(key.max()))
         return by_y[np.argsort(narrow, kind="stable")]
 

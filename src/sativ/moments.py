@@ -26,6 +26,7 @@ from .model import BasisSpec
 
 INTEGER_TOL = 1e-9
 PINV_RTOL = 1e-12
+SHARED_PMF_MAX_N = 1024  # pairs up to this n share one pmf table per saturation (<= 8 MB)
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,10 @@ def q_z_at_count(
 
     ``count`` is an integer, giving a (K, K) matrix, or a 1-D integer array,
     giving the (len(count), K, K) stack of Q_z at each count, with ``n`` an
-    integer or an aligned 1-D integer array.  The array form takes one pmf
-    table per saturation and, per size, the stacked product over zero-padded
-    pmf rows, and equals the scalar form at each (count, n) bit for bit.
+    integer or an aligned 1-D integer array.  Per saturation, one pmf table
+    covers the distinct counts of all pairs with n up to ``SHARED_PMF_MAX_N``
+    and one row each larger pair; each size takes the stacked product over
+    its zero-padded pmf rows, which equals the scalar form bit for bit.
     """
     counts = np.atleast_1d(np.asarray(count))
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
@@ -124,16 +126,21 @@ def q_z_at_count(
         raise ValidationError("complier count outside 0..n-1")
     if z not in (0, 1):
         raise ValidationError("z must be 0 or 1")
-    distinct, pmf_row = np.unique(counts, return_inverse=True)
-    pmfs = [(zweight, _pmf_rows(distinct, s)) for s, w in zip(design.saturations, design.weights)
-            if (zweight := w * (s if z == 1 else 1.0 - s)) != 0.0]
+    zweights = [(s, zweight) for s, w in zip(design.saturations, design.weights)
+                if (zweight := w * (s if z == 1 else 1.0 - s)) != 0.0]
     out = np.zeros((len(counts), basis.k, basis.k))
-    for size in np.unique(sizes):
-        at = np.flatnonzero(sizes == size)
-        width = int(counts[at].max()) + 1
-        fvals = basis.values(np.arange(width) / (size - 1))  # (width, K)
-        for zweight, pmf in pmfs:
-            out[at] += zweight * (fvals.T @ (pmf[pmf_row[at], :width][:, :, None] * fvals))
+    shared = sizes <= SHARED_PMF_MAX_N  # counts < n: their table has at most 1024 x 1024 entries
+    for block in filter(len, [np.flatnonzero(shared), *np.flatnonzero(~shared)[:, None]]):
+        distinct, pmf_row = np.unique(counts[block], return_inverse=True)
+        parts = []  # per size: the rows, their pmf rows, the grid width and f on the grid
+        for size in np.unique(sizes[block]):
+            at = sizes[block] == size
+            width = int(counts[block[at]].max()) + 1
+            parts.append((block[at], pmf_row[at], width, basis.values(np.arange(width) / (size - 1))))
+        for s, zweight in zweights:
+            pmf = _pmf_rows(distinct, s)
+            for rows, pmf_at, width, fvals in parts:
+                out[rows] += zweight * (fvals.T @ (pmf[pmf_at, :width][:, :, None] * fvals))
     out = _symmetrize(out)
     return out if np.ndim(count) or np.ndim(n) else out[0]
 

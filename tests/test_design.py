@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -114,3 +116,24 @@ class TestValidateDesign:
         diag = validate_design(dsn, linear_basis(), n_grid=(10**6,), cbar_grid=(0.3,))
         assert not diag.singular
         assert diag.weakly_identified
+
+    def test_integral_float_sizes(self):
+        dsn = SaturationDesign.from_probs((0.25, 0.75), (0.5, 0.5))
+        ints = validate_design(dsn, linear_basis(), n_grid=(11, 101))
+        assert validate_design(dsn, linear_basis(), n_grid=(11.0, 101.0)) == ints
+        assert validate_design(dsn, linear_basis(), n_grid=np.array([11.0, 101.0])) == ints
+        with pytest.raises(ValidationError):
+            validate_design(dsn, linear_basis(), n_grid=(11.5, 101.0))
+
+    def test_large_n_grid_peak(self):
+        """Sizes above 1024 take one pmf row per (count, n) pair.  This grid
+        peaked at 60 MB with one ``q_extended`` call per (cbar, n) and z, and
+        at 428 MB with one pmf table over all its pairs (44 MB now)."""
+        dsn = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (1, 1, 1, 1, 1))
+        tracemalloc.start()
+        try:
+            validate_design(dsn, linear_basis(), n_grid=(11, 101, 1001, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 10**6

@@ -531,10 +531,9 @@ class TestRowOrderKeyWidth:
         assert np.array_equal(data.row_order, ref)
 
 
-class TestRowOrderYSort:
-    """``row_order`` sorts y with the default sort kind when the sorted y is
-    strictly increasing and with the stable kind otherwise (ties, -0.0 beside
-    0.0, nan); both give the four-key lexsort's permutation."""
+class TestRowOrderYTies:
+    """``row_order`` gives the four-key lexsort's permutation for continuous y
+    and for y with ties, -0.0 beside 0.0 or nan, which keep their data order."""
 
     @staticmethod
     def _data(y: np.ndarray) -> ExperimentData:
@@ -552,12 +551,10 @@ class TestRowOrderYSort:
 
     def test_continuous_y(self):
         data = simulate_experiment(noisy_sec6_config(G=40, n=12))
-        sorted_y = np.sort(data.y)
-        assert np.all(sorted_y[1:] > sorted_y[:-1])  # the default-kind path
         assert np.array_equal(data.row_order, self._lexsort(data))
 
     @pytest.mark.parametrize("case", ["ties", "signed-zeros", "nan"])
-    def test_fallback_keeps_data_order(self, case):
+    def test_ties_keep_data_order(self, case):
         y = np.random.default_rng(3).normal(size=4000)
         if case == "ties":
             y = np.round(y, 1)
@@ -868,20 +865,6 @@ class TestPeakMemory:
 
     def test_ingest_csv_releases_the_text_before_parsing(self, csv_path):
         assert self._peak(ingest_csv, csv_path) < 28 * 10**6
-
-    def test_row_order_peaks_no_higher_than_two_stable_sorts(self, csv_path):
-        def stable_row_order(data):
-            key = data.cell_key
-            by_y = np.argsort(data.y, kind="stable")
-            narrow = key[by_y].astype(np.min_scalar_type(key.max()))
-            return by_y[np.argsort(narrow, kind="stable")]
-
-        data = ingest_csv(csv_path)
-        data.cell_key  # cached before either trace
-        stable_peak = self._peak(stable_row_order, data)
-        peak = self._peak(lambda: data.row_order)
-        assert np.array_equal(data.row_order, stable_row_order(data))
-        assert peak <= stable_peak
 
     def test_estimate_all_expands_only_sum_operands_to_rows(self, csv_path):
         data = ingest_csv(csv_path)

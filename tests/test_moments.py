@@ -126,6 +126,16 @@ class TestArrayForm:
                     for c, n, q in zip(counts, ns, stack):
                         assert np.array_equal(q, scalar_q_z(basis, c, n, design, z))
 
+    def test_q_z_at_count_sizes_beyond_the_shared_table_equal_scalar(self):
+        # n above SHARED_PMF_MAX_N gets one pmf row per pair; mixed with shared-table sizes
+        rng = np.random.default_rng(10)
+        pairs = [(c, n) for n in (20, 1024, 1025, 3000) for c in {0, n - 1, *rng.integers(0, n, 3).tolist()}]
+        counts, ns = rng.permutation(pairs).T
+        for z in (0, 1):
+            stack = q_z_at_count(quadratic_basis(), counts, ns, SEC6_DESIGN, z)
+            for c, n, q in zip(counts, ns, stack):
+                assert np.array_equal(q, scalar_q_z(quadratic_basis(), c, n, SEC6_DESIGN, z))
+
     def test_q_extended_mixed_sizes_equal_scalar_calls(self):
         rng = np.random.default_rng(9)
         ns = rng.permutation(np.repeat([2, 5, 20, 116, 212], 5))
