@@ -114,9 +114,10 @@ def q_z_at_count(
     ``count`` is an integer, giving a (K, K) matrix, or a 1-D integer array,
     giving the (len(count), K, K) stack of Q_z at each count, with ``n`` an
     integer or an aligned 1-D integer array.  Per saturation, one pmf table
-    covers the distinct counts of all pairs with n up to ``SHARED_PMF_MAX_N``
-    and one row each larger pair; each size takes the stacked product over
-    its zero-padded pmf rows, which equals the scalar form bit for bit.
+    covers the distinct counts of all pairs with n up to ``SHARED_PMF_MAX_N``,
+    and each pair at a larger n gets a one-row table.  Each size takes the
+    stacked product over its zero-padded pmf rows, which equals the scalar
+    form bit for bit.
     """
     counts = np.atleast_1d(np.asarray(count))
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
@@ -129,7 +130,7 @@ def q_z_at_count(
     zweights = [(s, zweight) for s, w in zip(design.saturations, design.weights)
                 if (zweight := w * (s if z == 1 else 1.0 - s)) != 0.0]
     out = np.zeros((len(counts), basis.k, basis.k))
-    shared = sizes <= SHARED_PMF_MAX_N  # counts < n: their table has at most 1024 x 1024 entries
+    shared = sizes <= SHARED_PMF_MAX_N  # counts < n: at most SHARED_PMF_MAX_N**2 table entries
     for block in filter(len, [np.flatnonzero(shared), *np.flatnonzero(~shared)[:, None]]):
         distinct, pmf_row = np.unique(counts[block], return_inverse=True)
         parts = []  # per size: the rows, their pmf rows, the grid width and f on the grid
