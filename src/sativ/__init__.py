@@ -8,7 +8,6 @@ from .errors import SingularSystemError, UnidentifiedEffectError, ValidationErro
 from .estimator import (
     EstimateResult,
     IORTestResult,
-    complier_theta,
     estimate_all,
     estimate_chat,
     ingest_csv,
@@ -63,7 +62,6 @@ __all__ = [
     "assign_offers",
     "basis_by_name",
     "block_inverse",
-    "complier_theta",
     "direct_effect",
     "effect_curve",
     "estimate_all",

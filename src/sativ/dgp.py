@@ -182,6 +182,8 @@ class GroupData:
             raise ValidationError(f"group {self.group_id} has fewer than two members")
         if len(self.d) != n or len(self.y) != n:
             raise ValidationError(f"group {self.group_id}: vector lengths differ")
+        if not np.isfinite(self.y).all():
+            raise ValidationError(f"group {self.group_id}: outcome must be finite")
         if not 0.0 <= self.saturation <= 1.0:
             raise ValidationError(f"group {self.group_id}: saturation outside [0, 1]")
         for name, v in (("z", self.z), ("d", self.d)):

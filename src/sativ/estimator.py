@@ -23,7 +23,7 @@ from . import moments
 from .design import SaturationDesign
 from .dgp import Cells, ExperimentData, GroupData
 from .errors import SingularSystemError, ValidationError
-from .model import LABEL_COMPLIER, BasisSpec, MeanCoefficients
+from .model import BasisSpec
 
 TARGET_JOINT = "joint"
 TARGET_COMPLIER_PSI = "complier_psi"
@@ -232,18 +232,10 @@ def _require_well_conditioned(cond: float, what: str) -> None:
         )
 
 
-def _cluster_sandwich(
-    a: np.ndarray,
-    scores: np.ndarray,
-    df_correction: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """CR0 sandwich: A^{-1} (sum_g s_g s_g') A^{-T}, optionally scaled by G/(G-1)."""
+def _cluster_sandwich(a: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CR0 sandwich A^{-1} (sum_g s_g s_g') A^{-T}, symmetrized, and A^{-1}."""
     ainv = np.linalg.inv(a)
-    meat = scores.T @ scores
-    if df_correction:
-        g = scores.shape[0]
-        meat = meat * (g / (g - 1))
-    vcov = ainv @ meat @ ainv.T
+    vcov = ainv @ (scores.T @ scores) @ ainv.T
     return (vcov + vcov.T) / 2.0, ainv
 
 
@@ -261,7 +253,6 @@ def _fit_iv(
     y: np.ndarray,
     target: str,
     diag: EstimatorDiagnostics,
-    df_correction: bool,
 ) -> _CoreResult:
     """Just-identified IV of y on x with instruments ``inst``, clustered by group.
 
@@ -279,7 +270,7 @@ def _fit_iv(
     coef = np.linalg.solve(a, inst_rows.T @ y)
     inst_rows *= (y - cells.rows(x @ coef))[:, None]  # the score of each row
     scores = np.add.reduceat(inst_rows, cells.row_starts, axis=0)
-    vcov, ainv = _cluster_sandwich(a, scores, df_correction)
+    vcov, ainv = _cluster_sandwich(a, scores)
     result = EstimateResult(
         target=target,
         coefficients=coef,
@@ -298,7 +289,6 @@ def _solve_2sls(
     yv: np.ndarray,
     target: str,
     diag: EstimatorDiagnostics,
-    df_correction: bool,
 ) -> _CoreResult:
     """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}: IV on the fitted Xhat.
 
@@ -311,7 +301,7 @@ def _solve_2sls(
     zx = z_rows.T @ cells.rows(x)
     del z_rows  # before _fit_iv makes its own row copies
     xhat = zmat @ np.linalg.solve(zz, zx)
-    return _fit_iv(cells, x, xhat, yv, target, diag, df_correction)
+    return _fit_iv(cells, x, xhat, yv, target, diag)
 
 
 def _validate_inputs(data: ExperimentData, design: SaturationDesign) -> None:
@@ -331,21 +321,16 @@ def _core_rsiv(
     plan: _InstrumentPlan,
     target: str,
     pure_control: str | None,
-    df_correction: bool,
 ) -> _CoreResult:
     """Just-identified RS-IV on exactly the cells the plan covers."""
     x, w = _target_arrays(cells, basis, target)
     zhat = plan.zhat(target, w)
     diag = plan.diagnostics(target, pure_control)
-    return _fit_iv(cells, x, zhat, cells.y, target, diag, df_correction)
+    return _fit_iv(cells, x, zhat, cells.y, target, diag)
 
 
 def _core_pure_control(
-    cells: Cells,
-    basis: BasisSpec,
-    plan: _InstrumentPlan,
-    target: str,
-    df_correction: bool,
+    cells: Cells, basis: BasisSpec, plan: _InstrumentPlan, target: str
 ) -> _CoreResult:
     """2SLS on all cells, with a pure-control indicator as an extra instrument."""
     x, w = _target_arrays(cells, basis, target)
@@ -359,7 +344,7 @@ def _core_pure_control(
         x = (1.0 - cells.z)[:, None] * x
         yv = cells.rows(1.0 - cells.z) * yv
     diag = plan.diagnostics(target, "gmm")
-    return _solve_2sls(cells, x, zmat, yv, target, diag, df_correction)
+    return _solve_2sls(cells, x, zmat, yv, target, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +373,6 @@ def build_instruments(
     return InstrumentSet(x[row], w[row], zhat[row], diag.n_pseudo_inverted, diag.min_abs_det_r)
 
 
-def complier_theta(
-    population: EstimateResult, never_taker: EstimateResult, compliance: float
-) -> MeanCoefficients:
-    """Complier untreated-arm means from the population/never-taker estimates.
-
-    E[theta|C=1] = E[theta|C=0] + (E[theta] - E[theta|C=0]) / E[C].
-    """
-    if not 0.0 < compliance < 1.0:
-        raise ValidationError("compliance rate must lie strictly inside (0, 1)")
-    pop = np.asarray(population.coefficients)
-    nt = np.asarray(never_taker.coefficients)
-    if pop.shape != nt.shape:
-        raise ValidationError("population and never-taker estimates must have equal length")
-    theta_c = nt + (pop - nt) / compliance
-    return MeanCoefficients(LABEL_COMPLIER, theta_mean=tuple(float(v) for v in theta_c))
-
-
 def _derive_complier_theta(
     data: ExperimentData,
     pop_core: _CoreResult,
@@ -418,8 +386,6 @@ def _derive_complier_theta(
     theta_c = theta_n + (theta - theta_n) / E[C].
     """
     rate = compliance_rate(data)
-    if rate >= 1.0:
-        raise ValidationError("full compliance: complier theta is not separately identified")
     k = len(pop_core.result.coefficients)
     h = np.zeros((data.n_groups, 2 * k + 1))
     h[nt_core.groups, :k] = nt_core.influence
@@ -465,7 +431,6 @@ def _estimate_cores(
     targets,
     pure_control: str,
     chat_policy: str,
-    df_correction: bool,
 ) -> dict[str, _CoreResult]:
     _validate_inputs(data, design)
     if pure_control not in ("gmm", "drop"):
@@ -481,12 +446,12 @@ def _estimate_cores(
     cores: dict[str, _CoreResult] = {}
     for target in targets:
         if gmm and target in (TARGET_JOINT, TARGET_POPULATION):
-            cores[target] = _core_pure_control(cells, basis, plan, target, df_correction)
+            cores[target] = _core_pure_control(cells, basis, plan, target)
         else:
             if dropped is None:
                 dropped = cells.take(plan.mask) if has_zero else cells
             cores[target] = _core_rsiv(
-                dropped, basis, plan, target, "drop" if has_zero else None, df_correction
+                dropped, basis, plan, target, "drop" if has_zero else None
             )
     return cores
 
@@ -499,7 +464,6 @@ def rsiv_estimate(
     *,
     pure_control: str = "gmm",
     chat_policy: str = "estimate",
-    df_correction: bool = False,
 ) -> EstimateResult:
     """The RS-IV estimator for one target.
 
@@ -509,19 +473,12 @@ def rsiv_estimate(
     and conditions the moment matrices on S > 0.
     """
     if target == TARGET_NAIVE:
-        return naive_iv(data, df_correction=df_correction)
+        return naive_iv(data)
     if target == TARGET_COMPLIER_THETA:
         return rsiv_complier_theta(
-            data,
-            basis,
-            design,
-            pure_control=pure_control,
-            chat_policy=chat_policy,
-            df_correction=df_correction,
+            data, basis, design, pure_control=pure_control, chat_policy=chat_policy
         )
-    cores = _estimate_cores(
-        data, basis, design, (target,), pure_control, chat_policy, df_correction
-    )
+    cores = _estimate_cores(data, basis, design, (target,), pure_control, chat_policy)
     return cores[target].result
 
 
@@ -532,7 +489,6 @@ def rsiv_pure_control(
     target: str,
     *,
     chat_policy: str = "estimate",
-    df_correction: bool = False,
 ) -> EstimateResult:
     """Over-identified 2SLS using pure-control groups as extra instruments."""
     _validate_inputs(data, design)
@@ -542,7 +498,7 @@ def rsiv_pure_control(
         raise ValidationError("data has no pure-control groups")
     if target not in (TARGET_JOINT, TARGET_POPULATION):
         raise ValidationError("pure-control GMM applies to the joint and population targets")
-    cores = _estimate_cores(data, basis, design, (target,), "gmm", chat_policy, df_correction)
+    cores = _estimate_cores(data, basis, design, (target,), "gmm", chat_policy)
     return cores[target].result
 
 
@@ -553,7 +509,6 @@ def rsiv_complier_theta(
     *,
     pure_control: str = "gmm",
     chat_policy: str = "estimate",
-    df_correction: bool = False,
 ) -> EstimateResult:
     """Complier untreated-arm means, derived from the population and
     never-taker targets with a joint delta-method clustered covariance."""
@@ -562,18 +517,9 @@ def rsiv_complier_theta(
         raise ValidationError(
             f"compliance rate {rate} is degenerate; complier theta not separately identified"
         )
-    cores = _estimate_cores(
-        data,
-        basis,
-        design,
-        (TARGET_NEVER_TAKER, TARGET_POPULATION),
-        pure_control,
-        chat_policy,
-        df_correction,
-    )
-    return _derive_complier_theta(
-        data, cores[TARGET_POPULATION], cores[TARGET_NEVER_TAKER]
-    )
+    targets = (TARGET_NEVER_TAKER, TARGET_POPULATION)
+    cores = _estimate_cores(data, basis, design, targets, pure_control, chat_policy)
+    return _derive_complier_theta(data, cores[TARGET_POPULATION], cores[TARGET_NEVER_TAKER])
 
 
 def estimate_all(
@@ -583,30 +529,27 @@ def estimate_all(
     *,
     pure_control: str = "gmm",
     chat_policy: str = "estimate",
-    df_correction: bool = False,
     include_naive: bool = True,
 ) -> dict[str, EstimateResult]:
     """All RS-IV targets, the derived complier theta, and (optionally) naive IV."""
-    cores = _estimate_cores(
-        data, basis, design, RS_TARGETS, pure_control, chat_policy, df_correction
-    )
+    cores = _estimate_cores(data, basis, design, RS_TARGETS, pure_control, chat_policy)
     out = {t: cores[t].result for t in RS_TARGETS}
     out[TARGET_COMPLIER_THETA] = _derive_complier_theta(
         data, cores[TARGET_POPULATION], cores[TARGET_NEVER_TAKER]
     )
     if include_naive:
-        out[TARGET_NAIVE] = naive_iv(data, df_correction=df_correction)
+        out[TARGET_NAIVE] = naive_iv(data)
     return out
 
 
-def naive_iv(data: ExperimentData, *, df_correction: bool = False) -> EstimateResult:
+def naive_iv(data: ExperimentData) -> EstimateResult:
     """IV regression of Y on (1, D, Dbar, D*Dbar) with instruments (1, Z, S, ZS)."""
     cells = data.cells
     one = np.ones_like(cells.z)
     x = np.column_stack([one, cells.d, cells.dbar, cells.d * cells.dbar])
     zmat = np.column_stack([one, cells.z, cells.saturation, cells.z * cells.saturation])
     diag = EstimatorDiagnostics(n_pseudo_inverted=0, min_abs_det_r=math.nan)
-    return _fit_iv(cells, x, zmat, cells.y, TARGET_NAIVE, diag, df_correction).result
+    return _fit_iv(cells, x, zmat, cells.y, TARGET_NAIVE, diag).result
 
 
 def ior_test(data: ExperimentData) -> IORTestResult:
@@ -639,8 +582,7 @@ def ior_test(data: ExperimentData) -> IORTestResult:
         raise ValidationError("IOR test needs offered individuals in at least two groups")
     n_obs, n_par = int(count.sum()), x.shape[1]
     correction = (n_clusters / (n_clusters - 1)) * ((n_obs - 1) / (n_obs - n_par))
-    xtx_inv = np.linalg.inv(xtx)
-    vcov = correction * (xtx_inv @ (scores.T @ scores) @ xtx_inv.T)
+    vcov = correction * _cluster_sandwich(xtx, scores)[0]
     b = coef[1:]
     vb = vcov[1:, 1:]
     wald = float(b @ np.linalg.solve(vb, b))

@@ -155,9 +155,10 @@ def q_exact(
 ) -> MomentMatrices:
     """Exact Q0/Q1 at (cbar, n); requires (n-1)*cbar to be an integer.
 
-    With ``condition_on_positive`` the expectation conditions on S > 0
-    (the pure-control-excluded variant), i.e. the s = 0 atom is dropped and
-    the remaining weights renormalized.
+    Both come from ``q_extended``, which is exact at an integer count.  With
+    ``condition_on_positive`` the expectation conditions on S > 0 (the
+    pure-control-excluded variant), i.e. the s = 0 atom is dropped and the
+    remaining weights renormalized.
     """
     if not 0.0 <= cbar <= 1.0:
         raise ValidationError("cbar must lie in [0, 1]")
@@ -166,11 +167,9 @@ def q_exact(
         raise ValidationError(
             f"(n-1)*cbar = {count} is not an integer; use q_extended instead"
         )
-    dsn = design.positive_part() if condition_on_positive else design
-    count = round(count)
     return MomentMatrices(
-        q0=q_z_at_count(basis, count, n, dsn, z=0),
-        q1=q_z_at_count(basis, count, n, dsn, z=1),
+        q0=q_extended(basis, cbar, n, design, 0, condition_on_positive),
+        q1=q_extended(basis, cbar, n, design, 1, condition_on_positive),
         cbar=cbar,
         n=n,
         condition_on_positive=condition_on_positive,

@@ -15,11 +15,10 @@ import numpy as np
 
 from . import dgp, estimator
 from .dgp import SimConfig
+from .effects import Z_95
 from .errors import SingularSystemError, ValidationError
 from .model import LABEL_COMPLIER, LABEL_NEVER_TAKER, LABEL_POPULATION, linear_basis
 from .streams import replication_seed
-
-Z_95 = 1.959963984540054
 
 RS_ROWS = ("alpha", "gamma", "alpha_n", "gamma_n", "alpha_c", "beta_c", "gamma_c", "delta_c")
 NAIVE_ROWS = ("naive_alpha", "naive_beta", "naive_gamma", "naive_delta")

@@ -467,3 +467,14 @@ class TestExperimentDataValidation:
             GroupData(
                 0, 0.5, z=np.array([0, 2]), d=np.array([0, 0]), y=np.zeros(2)
             ).validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome(self, bad):
+        # ingest_csv rejects the same value; in-memory data must not reach the
+        # estimators and come back as nan coefficients
+        groups = [
+            GroupData(0, 0.5, np.array([1, 0, 1]), np.array([1, 0, 0]), np.array([0.3, bad, 1.0])),
+            GroupData(1, 0.5, np.array([0, 1]), np.array([0, 1]), np.zeros(2)),
+        ]
+        with pytest.raises(ValidationError, match="group 0: outcome must be finite"):
+            ExperimentData(groups)

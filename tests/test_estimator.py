@@ -23,7 +23,6 @@ from sativ.estimator import (
     EstimateResult,
     _f_sf,
     build_instruments,
-    complier_theta,
     compliance_rate,
     estimate_all,
     estimate_chat,
@@ -226,29 +225,24 @@ class TestPureControlDiagnostics:
 
 
 class TestComplierTheta:
-    def _result(self, coefs):
-        k = len(coefs)
-        return EstimateResult("x", np.asarray(coefs, dtype=float), np.zeros((k, k)), 10, 100)
+    def test_identity_on_estimates(self):
+        # theta_c = theta_n + (theta - theta_n) / E[C], bit for bit
+        cfg = noisy_sec6_config(seed=13)
+        data = simulate_experiment(cfg)
+        res = estimate_all(data, LIN, cfg.design, include_naive=False)
+        pop = res[TARGET_POPULATION].coefficients
+        nt = res[TARGET_NEVER_TAKER].coefficients
+        expect = nt + (pop - nt) / compliance_rate(data)
+        assert np.array_equal(res[TARGET_COMPLIER_THETA].coefficients, expect)
 
-    def test_identity_arithmetic(self):
-        pop = self._result([0.5, -0.7])
-        nt = self._result([0.53, -0.64])
-        out = complier_theta(pop, nt, 0.3)
-        assert out.theta_mean == pytest.approx((0.43, -0.84))
-        assert out.label == "complier"
-
-    def test_no_selection(self):
-        pop = self._result([0.5, -0.7])
-        nt = self._result([0.5, -0.7])
-        out = complier_theta(pop, nt, 0.42)
-        assert out.theta_mean == pytest.approx((0.5, -0.7))
-
-    def test_degenerate_rates(self):
-        pop, nt = self._result([0.5]), self._result([0.4])
-        with pytest.raises(ValidationError):
-            complier_theta(pop, nt, 1.0)
-        with pytest.raises(ValidationError):
-            complier_theta(pop, nt, 0.0)
+    def test_zero_take_up_rejected(self):
+        # E[C] = 0: no complier, so no complier mean (full take-up: test_full_compliance)
+        groups = [
+            GroupData(g.group_id, g.saturation, g.z, np.zeros_like(g.d), g.y)
+            for g in simulate_experiment(noiseless_config(seed=11)).groups
+        ]
+        with pytest.raises(ValidationError, match="degenerate"):
+            rsiv_complier_theta(ExperimentData(groups), LIN, INTERIOR)
 
 
 class TestLargeSampleAgreement:
@@ -361,6 +355,35 @@ class TestIORTest:
         ftest = fit.f_test(restriction)
         assert res.wald == pytest.approx(float(ftest.fvalue) * res.df, rel=1e-8)
         assert res.p_value == pytest.approx(float(ftest.pvalue), rel=1e-6)
+
+    def test_matches_numpy_reference(self):
+        # unweighted OLS of d on the bin dummies over the offered rows, with a
+        # CR1-style clustered covariance: G/(G-1) * (N-1)/(N-K)
+        dsn = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (10,) * 5)
+        data = simulate_experiment(noisy_sec6_config(G=50, n=30, seed=31, design=dsn))
+        res = ior_test(data)
+
+        offered = data.z == 1.0
+        d = data.d[offered]
+        sat = data.saturation[offered]
+        group = data.group_index[offered]
+        sats = np.unique(sat)
+        x = np.column_stack([np.ones_like(d)] + [(sat == s).astype(float) for s in sats[1:]])
+        coef = np.linalg.lstsq(x, d, rcond=None)[0]
+        u = d - x @ coef
+        clusters = np.unique(group)
+        scores = np.array([(x[group == g] * u[group == g, None]).sum(axis=0) for g in clusters])
+        G, (N, K) = len(clusters), x.shape
+        bread = np.linalg.inv(x.T @ x)
+        vcov = G / (G - 1) * (N - 1) / (N - K) * bread @ scores.T @ scores @ bread
+        b = coef[1:]
+        wald = float(b @ np.linalg.inv(vcov[1:, 1:]) @ b)
+        df = len(sats) - 1
+
+        assert (res.df, res.n_clusters) == (df, G)
+        assert res.wald == pytest.approx(wald, rel=1e-12, abs=0)
+        assert res.p_value == _f_sf(res.wald / df, df, G - 1)
+        assert res.p_value == pytest.approx(_f_sf(wald / df, df, G - 1), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_p_value_is_f_survival(self, seed):
@@ -543,7 +566,7 @@ class TestRowOrderYTies:
         d = z * rng.integers(0, 2, (G, 4), dtype=np.int8)
         z[0], d[0] = 1, 0  # group 0's rows share one (z, d) cell
         groups = [GroupData(g, 0.5, z[g], d[g], y[4 * g: 4 * g + 4]) for g in range(G)]
-        return ExperimentData(groups)  # validated: nan y is accepted
+        return ExperimentData(groups, check=False)  # validation rejects a nan y
 
     @staticmethod
     def _lexsort(data: ExperimentData) -> np.ndarray:
