@@ -253,6 +253,14 @@ class Cells:
         )
 
 
+def _canonical_order(key: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.lexsort((y, key))``'s permutation from two stable sorts: by y, then by the
+    key in its narrowest unsigned type, which numpy radix-sorts while it fits 16 bits."""
+    by_y = np.argsort(y, kind="stable")
+    narrow = key.astype(np.min_scalar_type(key.max()))[by_y]
+    return by_y[np.argsort(narrow, kind="stable")]
+
+
 @dataclass(eq=False)
 class ExperimentData:
     """Grouped observations; the sole input to all estimators.
@@ -260,6 +268,10 @@ class ExperimentData:
     ``check=False`` skips per-group validation; reserved for data whose
     invariants already hold: the simulator's, by construction, and
     ``ingest_csv``'s, which checks every row.
+
+    ``cells`` and ``latent_cells`` are the only per-row caches.  The per-row
+    properties (``z``, ``d``, ``y``, ``row_order`` and the rest) are rebuilt
+    from the groups on each access, so hot paths should read the cells.
     """
 
     groups: list[GroupData]
@@ -284,41 +296,31 @@ class ExperimentData:
     def sizes(self) -> np.ndarray:
         return np.array([g.n for g in self.groups])
 
-    @cached_property
+    @property
     def group_index(self) -> np.ndarray:
         return np.repeat(np.arange(self.n_groups), self.sizes)
 
-    @cached_property
+    @property
     def z(self) -> np.ndarray:
-        return np.concatenate([g.z for g in self.groups]).astype(float)
+        return np.concatenate([g.z for g in self.groups], dtype=float)
 
-    @cached_property
+    @property
     def d(self) -> np.ndarray:
-        return np.concatenate([g.d for g in self.groups]).astype(float)
+        return np.concatenate([g.d for g in self.groups], dtype=float)
 
-    @cached_property
+    @property
     def y(self) -> np.ndarray:
-        return np.concatenate([g.y for g in self.groups]).astype(float)
+        return np.concatenate([g.y for g in self.groups], dtype=float)
 
-    @cached_property
+    @property
     def cell_key(self) -> np.ndarray:
         """Each row's (group, z, d) cell as one integer, 4*group + 2*z + d."""
         return 4 * self.group_index + (2 * self.z + self.d).astype(np.intp)
 
-    @cached_property
+    @property
     def row_order(self) -> np.ndarray:
-        """The canonical row order: by group, z, d and y, ties in data order.
-
-        Estimators sum over rows in this order, so their results do not
-        depend on the order of individuals within a group.  Two stable sorts
-        give ``np.lexsort((y, cell_key))``'s permutation: by y, then by the
-        key in its narrowest unsigned type, which numpy radix-sorts while
-        it fits in 16 bits (fewer than 16,385 groups).
-        """
-        key = self.cell_key
-        by_y = np.argsort(self.y, kind="stable")
-        narrow = key[by_y].astype(np.min_scalar_type(key.max()))
-        return by_y[np.argsort(narrow, kind="stable")]
+        """The canonical row order of ``cells.y``: by group, z, d and y, ties in data order."""
+        return _canonical_order(self.cell_key, self.y)
 
     @cached_property
     def cells(self) -> Cells:
@@ -332,14 +334,14 @@ class ExperimentData:
 
     def _pool(self, key: np.ndarray, latent: bool) -> Cells:
         """Cells of the rows with equal ``key``; a latent key ends in the complier bit."""
+        y = self.y
+        y = y[_canonical_order(key, y)]
         counts = np.bincount(key)
         present = counts > 0
         cell = np.flatnonzero(present)
         count = counts[cell]
         row_cell = (np.cumsum(present) - 1)[key]
-        order = self.row_order
-        if latent:  # the flag splits cells whose rows interleave in the canonical order
-            order = order[np.argsort(row_cell[order], kind="stable")]
+        if latent:
             flag = (cell & 1).astype(float)
             cell = cell >> 1
         group, z, d = cell >> 2, ((cell >> 1) & 1).astype(float), (cell & 1).astype(float)
@@ -356,7 +358,7 @@ class ExperimentData:
             z=z,
             d=d,
             count=count,
-            y=self.y[order],
+            y=y,
             saturation=self.group_saturation[group],
             n=n,
             dbar=(sum_d - d) / (n - 1),
@@ -371,7 +373,7 @@ class ExperimentData:
         """Per-group saturation."""
         return np.array([g.saturation for g in self.groups], dtype=float)
 
-    @cached_property
+    @property
     def saturation(self) -> np.ndarray:
         """Per-row saturation."""
         return np.repeat(self.group_saturation, self.sizes)
@@ -380,13 +382,13 @@ class ExperimentData:
     def has_latent(self) -> bool:
         return all(g.complier is not None for g in self.groups)
 
-    @cached_property
+    @property
     def complier(self) -> np.ndarray:
         if not self.has_latent:
             raise ValidationError("latent complier flags are not available")
-        return np.concatenate([g.complier for g in self.groups]).astype(float)
+        return np.concatenate([g.complier for g in self.groups], dtype=float)
 
-    @cached_property
+    @property
     def cbar_true(self) -> np.ndarray:
         """Leave-one-out neighbor complier share from the latent truth."""
         cells = self.latent_cells

@@ -113,10 +113,10 @@ def estimate_chat(z: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def compliance_rate(data: ExperimentData) -> float:
     """Sample take-up rate among offered individuals (the estimate of E[C])."""
-    offered = data.z.sum()
+    offered = data.cells.count @ data.cells.z
     if offered == 0:
         raise ValidationError("no offered individuals; compliance rate undefined")
-    return float(data.d.sum() / offered)
+    return float(data.cells.count @ data.cells.d / offered)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +183,10 @@ class _InstrumentPlan:
             if chat_policy == "estimate"
             else 0
         )
-        keys, key_of_cell = np.unique(
-            np.column_stack([cbar, n]), axis=0, return_inverse=True
-        )
-        self.key_of_cell = key_of_cell.ravel()
+        keys, self.key_of_cell = np.unique(cbar + 1j * n, return_inverse=True)  # by cbar, then n
         self.n_keys = len(keys)
-        self.q0 = moments.q_extended(basis, keys[:, 0], keys[:, 1].astype(np.int64), design, 0)
-        self.q1 = moments.q_extended(basis, keys[:, 0], keys[:, 1].astype(np.int64), design, 1)
+        self.q0 = moments.q_extended(basis, keys.real, keys.imag.astype(np.int64), design, 0)
+        self.q1 = moments.q_extended(basis, keys.real, keys.imag.astype(np.int64), design, 1)
         self._families: dict[str, tuple[np.ndarray, int, float]] = {}
 
     def _family(self, target: str) -> tuple[np.ndarray, int, float]:
@@ -391,9 +388,8 @@ def _derive_complier_theta(
     h[nt_core.groups, :k] = nt_core.influence
     h[pop_core.groups, k : 2 * k] = pop_core.influence
     cells = data.cells
-    h[:, 2 * k] = np.add.reduceat(
-        cells.count * cells.z * (cells.d - rate), cells.starts
-    ) / data.z.sum()
+    offered = cells.count * cells.z
+    h[:, 2 * k] = np.add.reduceat(offered * (cells.d - rate), cells.starts) / offered.sum()
 
     theta_n = np.asarray(nt_core.result.coefficients)
     theta_pop = np.asarray(pop_core.result.coefficients)

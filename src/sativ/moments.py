@@ -133,15 +133,16 @@ def q_z_at_count(
     shared = sizes <= SHARED_PMF_MAX_N  # counts < n: at most SHARED_PMF_MAX_N**2 table entries
     for block in filter(len, [np.flatnonzero(shared), *np.flatnonzero(~shared)[:, None]]):
         distinct, pmf_row = np.unique(counts[block], return_inverse=True)
-        parts = []  # per size: the rows, their pmf rows, the grid width and f on the grid
+        parts, grids = [], []  # per size: its pairs and their pmf rows; its grid of Dbar
         for size in np.unique(sizes[block]):
             at = sizes[block] == size
-            width = int(counts[block[at]].max()) + 1
-            parts.append((block[at], pmf_row[at], width, basis.values(np.arange(width) / (size - 1))))
+            parts.append((block[at], pmf_row[at]))
+            grids.append(np.arange(counts[block[at]].max() + 1) / (size - 1))
+        fvals = np.split(basis.values(np.concatenate(grids)), np.cumsum([len(g) for g in grids])[:-1])
         for s, zweight in zweights:
             pmf = _pmf_rows(distinct, s)
-            for rows, pmf_at, width, fvals in parts:
-                out[rows] += zweight * (fvals.T @ (pmf[pmf_at, :width][:, :, None] * fvals))
+            for (rows, pmf_at), f in zip(parts, fvals):
+                out[rows] += zweight * (f.T @ (pmf[pmf_at, : len(f)][:, :, None] * f))
     out = _symmetrize(out)
     return out if np.ndim(count) or np.ndim(n) else out[0]
 

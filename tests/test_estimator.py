@@ -629,9 +629,9 @@ class TestValidationErrors:
 
     def test_compliance_rate_requires_offers(self):
         groups = [
-            GroupData(i, 0.0, np.zeros(3, dtype=np.int8), np.zeros(3, dtype=np.int8),
-                      np.ones(3))
-            for i in range(3)
+            GroupData(i, 0.0, np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8),
+                      np.ones(n))
+            for i, n in enumerate((3, 2, 5))
         ]
         with pytest.raises(ValidationError):
             compliance_rate(ExperimentData(groups))
@@ -836,6 +836,12 @@ class TestMixedSizeRoundTrip:
         assert got == want
         assert repr(ior_test(ingested)) == repr(ior_test(data))
 
+    def test_compliance_rate_equals_row_ratio(self, mixed):
+        data, _ = mixed
+        assert (data.group_saturation == 0.0).any()
+        z, d = (np.concatenate([getattr(g, f) for g in data.groups]).astype(float) for f in "zd")
+        assert compliance_rate(data).hex() == float(d.sum() / z.sum()).hex()
+
     def test_plan_q_tables_equal_per_size_scalar_calls(self, mixed):
         from sativ import estimator, moments
 
@@ -858,9 +864,10 @@ class TestPeakMemory:
 
     ``ingest_csv`` peaks at 22 MB: 31 MB if it keeps the file text while
     numpy parses, 64 MB with a second copy of the text and a ``StringIO``
-    beside it.  ``estimate_all`` peaks at 38 MB: 47 MB if the 2SLS keeps
-    its row copy of Z past the sums, 58 MB with per-row copies of X, the
-    instruments and Xhat.
+    beside it.  ``estimate_all`` peaks at 25 MB: 34 MB if the 2SLS keeps
+    its row copy of Z past the sums, 38 MB if the data caches per-row
+    copies of z, d, y, the cell keys and the row order.  What it leaves
+    attached to the data, the cells, is 5 MB: 18 MB with those copies.
     """
 
     @pytest.fixture(scope="class")
@@ -874,18 +881,24 @@ class TestPeakMemory:
         return path
 
     @staticmethod
-    def _peak(fn, *args, **kwargs) -> int:
+    def _traced(fn, *args, **kwargs) -> tuple[int, int]:
+        """Traced (current, peak) bytes once fn returns and its result is dropped."""
         tracemalloc.start()
         try:
             fn(*args, **kwargs)
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
 
     def test_ingest_csv_releases_the_text_before_parsing(self, csv_path):
-        assert self._peak(ingest_csv, csv_path) < 28 * 10**6
+        assert self._traced(ingest_csv, csv_path)[1] < 28 * 10**6
 
     def test_estimate_all_expands_only_sum_operands_to_rows(self, csv_path):
         data = ingest_csv(csv_path)
         design = noisy_sec6_config(G=2350).design
-        assert self._peak(estimate_all, data, LIN, design, pure_control="gmm") < 44 * 10**6
+        assert self._traced(estimate_all, data, LIN, design, pure_control="gmm")[1] < 32 * 10**6
+
+    def test_estimate_all_leaves_only_cells_attached(self, csv_path):
+        data = ingest_csv(csv_path)
+        design = noisy_sec6_config(G=2350).design
+        assert self._traced(estimate_all, data, LIN, design, pure_control="gmm")[0] < 8 * 10**6
