@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -119,11 +120,12 @@ def write_data_csv(data: ExperimentData, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(estimator.CSV_HEADER) + "\n")
         for g in data.groups:
+            # one line prefix per (z, d), indexed by 2z + d; z and d are binary
             head = f"{g.group_id},{float(g.saturation)!r},"
-            fh.write("".join([
-                f"{head}{z},{d},{y!r}\n"
-                for z, d, y in zip(_ints(g.z), _ints(g.d), _floats(g.y))
-            ]))
+            prefix = [f"{head}{z},{d}," for z in (0, 1) for d in (0, 1)]
+            cell = _ints(2 * np.asarray(g.z) + np.asarray(g.d))
+            lines = map(operator.add, map(prefix.__getitem__, cell), map(repr, _floats(g.y)))
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_latent_csv(data: ExperimentData, path) -> None:
@@ -133,10 +135,11 @@ def write_latent_csv(data: ExperimentData, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("group_id,complier,alpha,beta,gamma,delta\n")
         for g in data.groups:
-            fh.write("".join([
-                f"{g.group_id},{c},{a!r},{b!r},{gm!r},{dl!r}\n"
-                for c, (a, b, gm, dl) in zip(_ints(g.complier), _floats(g.coefs))
-            ]))
+            prefix = [f"{g.group_id},{c}," for c in (0, 1)]  # by the binary complier flag
+            coefs = map(repr, _floats(g.coefs.ravel()))
+            rows = map(",".join, zip(coefs, coefs, coefs, coefs))
+            lines = map(operator.add, map(prefix.__getitem__, _ints(g.complier)), rows)
+            fh.write("\n".join(lines) + "\n")
 
 
 def _ints(v: np.ndarray) -> list[int]:
@@ -230,6 +233,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_effects(args) -> int:
+    if args.grid_points < 2:
+        raise ValidationError(f"--grid-points must be at least 2, got {args.grid_points}")
+    if not 0.0 < args.delta < 1.0:  # false for nan
+        raise ValidationError(f"--delta must be a finite number in (0, 1), got {args.delta!r}")
     cfg = load_config(args.config)
     design = design_from_config(cfg)
     basis = basis_from_config(cfg)
@@ -272,6 +279,19 @@ def _cmd_effects(args) -> int:
     return 0
 
 
+def _count(flag_value, flag: str, block: dict, key: str, default):
+    """The flag's value if given, else the mc block's, else ``default``: an integer >= 1."""
+    if flag_value is not None:
+        value, source = flag_value, flag
+    elif key in block:
+        value, source = block[key], f"mc.{key}"
+    else:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{source} must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def _cmd_montecarlo(args) -> int:
     cfg = load_config(args.config)
     sim = simconfig_from_config(cfg)
@@ -282,10 +302,10 @@ def _cmd_montecarlo(args) -> int:
     _check_keys(mc_block, _MC_KEYS, "mc")
     est_block = cfg.get("estimation", {})
     _check_keys(est_block, _ESTIMATION_KEYS, "estimation")
-    reps = args.reps or int(mc_block.get("reps", 0))
-    if reps <= 0:
+    reps = _count(args.reps, "--reps", mc_block, "reps", None)
+    if reps is None:
         raise ValidationError("replication count required (--reps or mc.reps)")
-    jobs = args.jobs or int(mc_block.get("jobs", 1))
+    jobs = _count(args.jobs, "--jobs", mc_block, "jobs", 1)
     estimators = tuple(mc_block.get("estimators", (montecarlo.ESTIMATOR_RS, montecarlo.ESTIMATOR_NAIVE)))
     report = montecarlo.run_mc(
         sim,

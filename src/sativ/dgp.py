@@ -25,7 +25,7 @@ from .model import (
     LABEL_POPULATION,
     MeanCoefficients,
 )
-from .streams import TAG_GROUP, TAG_ORACLE, TAG_SATURATIONS, Seed, substream
+from .streams import TAG_GROUP, TAG_ORACLE, TAG_SATURATIONS, Seed, substream, substreams
 
 DEFAULT_SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -415,8 +415,8 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
     perm = np.empty((n_groups, n), dtype=np.intp)
     z = np.empty((n_groups, n), dtype=np.int8)
     u = np.empty((n_groups, len(noisy), n))
-    for r, (gid, s) in enumerate(zip(group_ids, saturations)):
-        rng = substream(cfg.seed, TAG_GROUP, gid)
+    streams = substreams(cfg.seed, TAG_GROUP, ids=group_ids)
+    for r, (rng, s) in enumerate(zip(streams, saturations)):
         share_u[r] = rng.random()
         perm[r] = rng.permutation(n)
         z[r] = design_mod.assign_offers(n, s, rng)
@@ -458,6 +458,19 @@ def simulate_experiment(cfg: SimConfig) -> ExperimentData:
     return ExperimentData(_simulate_groups(cfg, range(cfg.G), saturations), check=False)
 
 
+def _support_indices(rng: np.random.Generator, probs, size: int) -> np.ndarray:
+    """The int64 indices ``rng.choice(len(probs), size, p=probs)`` draws, from the same
+    uniforms: the number of interior edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or
+    below each draw, which is choice's ``searchsorted(cdf, u, side="right")``."""
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    idx = np.zeros(size, dtype=np.int64)
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return idx
+
+
 def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
     """Draw (complier flag, leave-one-out share, coefficients) for i.i.d. individuals.
 
@@ -471,8 +484,7 @@ def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
     if n_draws < 10**5:
         raise ValidationError("oracle needs at least 1e5 draws")
     rng = substream(cfg.seed if seed is None else seed, TAG_ORACLE)
-    counts = np.asarray(cfg.complier_counts)
-    k = counts[rng.choice(len(counts), size=n_draws, p=np.asarray(cfg.probs))]
+    k = np.asarray(cfg.complier_counts)[_support_indices(rng, cfg.probs, n_draws)]
     c = (rng.random(n_draws) * cfg.n < k).astype(float)
     cbar = (k - c) / (cfg.n - 1)
     del k

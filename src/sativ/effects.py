@@ -136,8 +136,8 @@ def effect_curve(
     grid = np.asarray(grid, dtype=float)
     if np.any((grid < 0) | (grid > 1)):
         raise ValidationError("grid values must lie in [0, 1]")
-    if delta <= 0:
-        raise ValidationError("delta must be a positive increment")
+    if not 0.0 < delta < np.inf:  # false for nan
+        raise ValidationError(f"delta must be a finite positive increment, got {delta!r}")
     grad, point, label = _gradients(est, basis, kind, grid, delta)
     var = np.einsum("mi,ij,mj->m", grad, est.vcov, grad)
     se = np.sqrt(np.maximum(var, 0.0))

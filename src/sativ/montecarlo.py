@@ -163,6 +163,8 @@ def run_mc(
     """Run the replication study and summarize mean, SD, and 95% coverage."""
     if reps < 2:
         raise ValidationError("need at least two replications")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     for e in estimators:
         if e not in (ESTIMATOR_RS, ESTIMATOR_NAIVE):
             raise ValidationError(f"unknown estimator {e!r}")

@@ -13,7 +13,7 @@ from sativ.cli import (
     write_latent_csv,
 )
 from sativ.design import SaturationDesign
-from sativ.dgp import SimConfig, simulate_experiment
+from sativ.dgp import ExperimentData, GroupData, SimConfig, simulate_experiment
 from sativ.estimator import ingest_csv
 from sativ.model import linear_basis
 from sativ.montecarlo import report_to_json, run_mc
@@ -100,6 +100,43 @@ class TestWriters:
         write(data, tmp_path / "fast.csv")
         reference(data, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @staticmethod
+    def edge_data() -> ExperimentData:
+        """Mixed group sizes, every (z, d) cell, signed zero, the smallest
+        subnormal, a float written in exponent form and group ids above 2**31."""
+        special = [-0.0, 5e-324, 1e16, 0.1, -2.5e-300, 1.0]
+        groups = []
+        for gid, n, sat in ((0, 2, 0.0), (2**31 + 7, 7, 0.25), (5, 3, 1.0), (2**40, 11, 0.5)):
+            z = (np.full(n, sat == 1.0) if sat in (0.0, 1.0) else np.arange(n) % 2).astype(np.int8)
+            d = (z * (np.arange(n) % 3 == 1)).astype(np.int8)
+            y = np.resize(special, n) * (1 if gid % 2 else -1)
+            complier = (np.arange(n) % 2 == 0).astype(np.int8)
+            coefs = np.resize(special[::-1], (n, 4))
+            groups.append(GroupData(gid, sat, z, d, y, complier=complier, coefs=coefs))
+        return ExperimentData(groups)
+
+    @pytest.mark.parametrize(
+        "write, reference",
+        [(write_data_csv, _reference_data_csv), (write_latent_csv, _reference_latent_csv)],
+    )
+    def test_edge_values_match_row_reference(self, tmp_path, write, reference):
+        data = self.edge_data()
+        write(data, tmp_path / "fast.csv")
+        reference(data, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        text = (tmp_path / "fast.csv").read_text()
+        for token in ("-0.0", "5e-324", "1e+16", str(2**31 + 7), str(2**40)):
+            assert token in text
+
+    def test_edge_values_round_trip(self, tmp_path):
+        data = self.edge_data()
+        write_data_csv(data, tmp_path / "data.csv")
+        back = ingest_csv(tmp_path / "data.csv")
+        for a, b in zip(data.groups, back.groups):
+            assert a.group_id == b.group_id
+            assert np.array_equal(a.y, b.y)
+            assert np.array_equal(np.signbit(a.y), np.signbit(b.y))
 
 
 class TestSubcommands:
@@ -235,6 +272,25 @@ class TestSubcommands:
             }
         assert meta["diagnostics"]["joint"]["pure_control"] == policy
 
+    def test_montecarlo_flags_override_config(self, config_path, tmp_path):
+        out = str(tmp_path / "mc.json")
+        assert main(["montecarlo", "--config", config_path, "--out", out,
+                     "--reps", "2", "--jobs", "1"]) == 0
+        assert json.loads(open(out).read())["reps"] == 2
+
+    def test_effects_smallest_grid_and_delta(self, config_path, tmp_path):
+        data_path = str(tmp_path / "data.csv")
+        main(["simulate", "--config", config_path, "--out", data_path])
+        out = str(tmp_path / "curves.csv")
+        assert main(["effects", "--config", config_path, "--data", data_path, "--out", out,
+                     "--grid-points", "2", "--delta", "0.5"]) == 0
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        # DE and the two potential-outcome lines at dbar 0 and 1, the four
+        # indirect effects at dbar 0 only (0 + 0.5 <= 1 < 1 + 0.5)
+        assert len(rows) == 3 * 2 + 4 * 1
+        assert {r[0] for r in rows} >= {"IE0_population", "IE0_treated", "IE1_treated",
+                                        "IE0_never_taker"}
+
     def test_montecarlo_report(self, config_path, tmp_path):
         out = str(tmp_path / "mc.json")
         assert main(["montecarlo", "--config", config_path, "--out", out]) == 0
@@ -322,6 +378,60 @@ class TestErrorPaths:
         ])
         assert code == 1
         assert "unknown keys in estimation: targets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--reps", "0"], ["--reps", "-2"], ["--jobs", "0"], ["--jobs", "-3"]]
+    )
+    def test_montecarlo_rejects_flag_below_one(self, config_path, tmp_path, capsys, flags):
+        out = tmp_path / "mc.json"
+        assert main(["montecarlo", "--config", config_path, "--out", str(out), *flags]) == 1
+        assert f"{flags[0]} must be an integer of at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("reps", 0), ("reps", -1), ("reps", 2.5), ("jobs", 0), ("jobs", -3),
+                       ("jobs", True), ("jobs", "2")]
+    )
+    def test_montecarlo_rejects_config_count(self, config_path, tmp_path, capsys, key, value):
+        cfg = json.loads(open(config_path).read())
+        cfg["mc"][key] = value
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "mc.json"
+        assert main(["montecarlo", "--config", config_path, "--out", str(out)]) == 1
+        assert f"mc.{key} must be an integer of at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_montecarlo_needs_a_replication_count(self, config_path, capsys):
+        cfg = json.loads(open(config_path).read())
+        del cfg["mc"]["reps"]
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["montecarlo", "--config", config_path]) == 1
+        assert "replication count required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid-points", "0"],
+            ["--grid-points", "1"],
+            ["--grid-points", "-4"],
+            ["--delta", "0"],
+            ["--delta", "-0.1"],
+            ["--delta", "1"],
+            ["--delta", "1.5"],
+            ["--delta", "nan"],
+            ["--delta", "inf"],
+        ],
+    )
+    def test_effects_rejects_bad_grid_or_delta(self, config_path, tmp_path, capsys, flags):
+        # the flags are checked before the data file is read
+        out = tmp_path / "curves.csv"
+        code = main(["effects", "--config", config_path, "--data", str(tmp_path / "absent.csv"),
+                     "--out", str(out), *flags])
+        assert code == 1
+        assert f"{flags[0]} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["validate-design", "--config", "/nonexistent.json"]) == 1

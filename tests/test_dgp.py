@@ -13,6 +13,7 @@ from sativ.dgp import (
     GroupData,
     SimConfig,
     _oracle_draws,
+    _support_indices,
     draw_coefficient,
     oracle_naive_iv_estimands,
     oracle_subpopulation_means,
@@ -22,7 +23,7 @@ from sativ.dgp import (
 )
 from sativ.errors import ValidationError
 from sativ.moments import binomial_pmf
-from sativ.streams import TAG_GROUP, TAG_ORACLE, substream
+from sativ.streams import TAG_GROUP, TAG_ORACLE, replication_seed, substream
 
 SEC6_DESIGN = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (47,) * 5)
 SEC6 = SimConfig(
@@ -295,6 +296,60 @@ class TestSimulationDigest:
         as_int = simulate_experiment(self.config(case, means=(0, 1, -1, 2)))
         assert all(g.coefs.dtype == np.float64 for g in as_int.groups)
         assert self.digest(as_int) == self.digest(as_float)
+
+
+class TestBatchedStreams:
+    """``simulate_experiment`` seeds its groups' streams in one batch, and
+    ``simulate_group`` seeds its one stream with ``substream``: both must
+    give each group the same draws."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 11, 2**40 + 3, replication_seed(11, 4), (1, 2, 3, 4, 5, 6)]
+    )
+    def test_simulate_group_equals_experiment_group(self, seed):
+        cfg = SimConfig(
+            G=15, n=9, design=CORNERS, means=(0.5, 0.2, -0.7, 0.8),
+            kappa=(0.0, 0.0, 1.2, 1.5), sigma=NOISE, seed=seed,
+        )
+        data = simulate_experiment(cfg)
+        alone = [simulate_group(cfg, g.group_id, g.saturation) for g in data.groups]
+        ref = [_reference_group(cfg, g.group_id, g.saturation) for g in data.groups]
+        digest = TestSimulationDigest.digest
+        assert digest(ExperimentData(alone)) == digest(data) == digest(ExperimentData(ref))
+
+
+class TestSupportIndices:
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (0.2,) * 5,
+            (0.05, 0.15, 0.3, 0.25, 0.25),
+            (0.1, 0.0, 0.5, 0.4),  # a zero-probability point inside
+            (0.0, 0.3, 0.7, 0.0),  # and at both ends
+            (1.0,),
+        ],
+    )
+    def test_equals_generator_choice(self, probs):
+        rng, ref = substream(5, TAG_ORACLE), substream(5, TAG_ORACLE)
+        got = _support_indices(rng, probs, 10**5)
+        expect = ref.choice(len(probs), size=10**5, p=np.asarray(probs))
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+        assert rng.random() == ref.random()  # the same draws were consumed
+        assert not np.isin(np.flatnonzero(np.asarray(probs) == 0.0), got).any()
+
+    @pytest.mark.parametrize("share_probs", [(0.2, 0.5, 0.3), (0.6, 0.0, 0.4)])
+    def test_oracle_draws_equal_choice_reference(self, share_probs):
+        cfg = SimConfig(
+            G=15, n=9, design=CORNERS, means=(0.5, 0.2, -0.7, 0.8),
+            kappa=(0.0, 0.0, 1.2, 0.0), sigma=(0.3, 0.0, 0.2, 0.0),
+            complier_shares=(0.0, 0.5, 1.0), share_probs=share_probs, seed=11,
+        )
+        c, cbar, rows = _oracle_draws(cfg, 10**5, 8)
+        ref_c, ref_cbar, ref_coefs = _reference_oracle_draws(cfg, 10**5, 8)
+        assert np.array_equal(c, ref_c)
+        assert np.array_equal(cbar, ref_cbar)
+        assert np.array_equal(np.array(list(rows)), ref_coefs)
 
 
 class TestConditionalBinomial:

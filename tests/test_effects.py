@@ -134,6 +134,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             effect_curve(pop, KIND_IE0_POPULATION, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
+    def test_finite_positive_delta(self, delta):
+        pop = make_result(TARGET_POPULATION, [0.5, -0.7])
+        with pytest.raises(ValidationError, match="finite positive increment"):
+            effect_curve(pop, KIND_IE0_POPULATION, grid=np.array([0.0]), delta=delta)
+
     def test_grid_range(self):
         with pytest.raises(ValidationError):
             effect_curve(JOINT, KIND_DE_TREATED, grid=np.array([-0.1]))

@@ -54,6 +54,11 @@ class TestRunMC:
         with pytest.raises(ValidationError):
             run_mc(small_config(), reps=1)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_floor(self, jobs):
+        with pytest.raises(ValidationError, match="jobs must be at least 1"):
+            run_mc(small_config(), reps=3, jobs=jobs)
+
     def test_unknown_estimator(self):
         with pytest.raises(ValidationError):
             run_mc(small_config(), reps=3, estimators=("ols",))
