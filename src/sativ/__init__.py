@@ -13,19 +13,14 @@ from .estimator import (
     ingest_csv,
     ior_test,
     naive_iv,
-    rsiv_complier_theta,
     rsiv_estimate,
     rsiv_pure_control,
 )
 from .model import (
     BasisSpec,
-    Coefficients,
     MeanCoefficients,
     basis_by_name,
-    direct_effect,
-    indirect_effect,
     linear_basis,
-    potential_outcome,
     quadratic_basis,
 )
 from .moments import (
@@ -42,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec",
-    "Coefficients",
     "DesignDiagnostics",
     "EffectCurve",
     "EstimateResult",
@@ -62,23 +56,19 @@ __all__ = [
     "assign_offers",
     "basis_by_name",
     "block_inverse",
-    "direct_effect",
     "effect_curve",
     "estimate_all",
     "estimate_chat",
-    "indirect_effect",
     "ingest_csv",
     "ior_test",
     "linear_basis",
     "naive_iv",
     "oracle_subpopulation_means",
-    "potential_outcome",
     "pseudo_inverse",
     "q_exact",
     "q_extended",
     "q_linear_closed_form",
     "quadratic_basis",
-    "rsiv_complier_theta",
     "rsiv_estimate",
     "rsiv_pure_control",
     "run_mc",

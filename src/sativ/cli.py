@@ -49,6 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_keys(obj: dict, allowed, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -62,8 +64,6 @@ def load_config(path) -> dict:
         raise ValidationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     return cfg
 
@@ -87,7 +87,28 @@ def design_from_config(cfg: dict) -> SaturationDesign:
 
 
 def basis_from_config(cfg: dict):
-    return basis_by_name(cfg.get("basis", "linear"))
+    name = cfg.get("basis", "linear")
+    if not isinstance(name, str):
+        raise ValidationError(f"basis must be a string, got {name!r}")
+    return basis_by_name(name)
+
+
+def pure_control_from_config(cfg: dict, flag: str | None = None) -> str:
+    """``flag`` if given, else estimation.pure_control (checked either way), else gmm."""
+    block = cfg.get("estimation", {})
+    _check_keys(block, _ESTIMATION_KEYS, "estimation")
+    policy = block.get("pure_control", "gmm")
+    estimator.check_pure_control(policy, "estimation.pure_control")
+    return flag or policy
+
+
+def _integer(value, source: str, minimum: int) -> int:
+    """An integer config value or flag: an int, or a float with an integral value
+    (JSON may write 10**6 as 1e6).  Bools, strings and fractions are refused."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValidationError(f"{source} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def simconfig_from_config(cfg: dict) -> SimConfig:
@@ -98,8 +119,8 @@ def simconfig_from_config(cfg: dict) -> SimConfig:
     design = design_from_config(cfg)
     try:
         kwargs = dict(
-            G=int(block["G"]),
-            n=int(block["n"]),
+            G=_integer(block["G"], "sim.G", 2),
+            n=_integer(block["n"], "sim.n", 2),
             design=design,
             means=tuple(block["means"]),
             kappa=tuple(block.get("kappa", (0.0, 0.0, 0.0, 0.0))),
@@ -216,17 +237,11 @@ def _cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     design = design_from_config(cfg)
     basis = basis_from_config(cfg)
-    est_block = cfg.get("estimation", {})
-    _check_keys(est_block, _ESTIMATION_KEYS, "estimation")
-    pure_control = args.pure_control or est_block.get("pure_control", "gmm")
+    pure_control = pure_control_from_config(cfg, args.pure_control)
     data = estimator.ingest_csv(args.data)
-    target = TARGET_NAMES[args.target]
-    if target == estimator.TARGET_NAIVE:
-        res = estimator.naive_iv(data)
-    else:
-        res = estimator.rsiv_estimate(
-            data, basis, design, target, pure_control=pure_control
-        )
+    res = estimator.rsiv_estimate(
+        data, basis, design, TARGET_NAMES[args.target], pure_control=pure_control
+    )
     echo = {"config_file": str(args.config), "data": str(args.data), "target": args.target}
     _emit(_result_json(res, echo), args.out)
     return 0
@@ -240,9 +255,7 @@ def _cmd_effects(args) -> int:
     cfg = load_config(args.config)
     design = design_from_config(cfg)
     basis = basis_from_config(cfg)
-    est_block = cfg.get("estimation", {})
-    _check_keys(est_block, _ESTIMATION_KEYS, "estimation")
-    pure_control = est_block.get("pure_control", "gmm")
+    pure_control = pure_control_from_config(cfg)
     data = estimator.ingest_csv(args.data)
     res = estimator.estimate_all(
         data, basis, design, pure_control=pure_control, include_naive=False
@@ -282,14 +295,8 @@ def _cmd_effects(args) -> int:
 def _count(flag_value, flag: str, block: dict, key: str, default):
     """The flag's value if given, else the mc block's, else ``default``: an integer >= 1."""
     if flag_value is not None:
-        value, source = flag_value, flag
-    elif key in block:
-        value, source = block[key], f"mc.{key}"
-    else:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{source} must be an integer of at least 1, got {value!r}")
-    return value
+        return _integer(flag_value, flag, 1)
+    return _integer(block[key], f"mc.{key}", 1) if key in block else default
 
 
 def _cmd_montecarlo(args) -> int:
@@ -300,20 +307,21 @@ def _cmd_montecarlo(args) -> int:
         raise ValidationError(f"montecarlo supports only the linear basis, not {basis.name!r}")
     mc_block = cfg.get("mc", {})
     _check_keys(mc_block, _MC_KEYS, "mc")
-    est_block = cfg.get("estimation", {})
-    _check_keys(est_block, _ESTIMATION_KEYS, "estimation")
+    pure_control = pure_control_from_config(cfg)
     reps = _count(args.reps, "--reps", mc_block, "reps", None)
     if reps is None:
         raise ValidationError("replication count required (--reps or mc.reps)")
     jobs = _count(args.jobs, "--jobs", mc_block, "jobs", 1)
-    estimators = tuple(mc_block.get("estimators", (montecarlo.ESTIMATOR_RS, montecarlo.ESTIMATOR_NAIVE)))
+    estimators = mc_block.get("estimators", [montecarlo.ESTIMATOR_RS, montecarlo.ESTIMATOR_NAIVE])
+    if not isinstance(estimators, list):
+        raise ValidationError(f"mc.estimators must be a list, got {estimators!r}")
     report = montecarlo.run_mc(
         sim,
         reps,
-        estimators=estimators,
+        estimators=tuple(estimators),
         jobs=jobs,
-        pure_control=est_block.get("pure_control", "gmm"),
-        oracle_draws=int(mc_block.get("oracle_draws", 10**6)),
+        pure_control=pure_control,
+        oracle_draws=_integer(mc_block.get("oracle_draws", 10**6), "mc.oracle_draws", 1),
     )
     text = montecarlo.report_to_json(report)
     if args.out:

@@ -205,10 +205,10 @@ class Cells:
     everything an estimator derives from them: only the outcome varies.
     The latent cells also split on the complier flag, which the true
     neighbor share ``cbar_true`` depends on.  Cells run in (group, z, d,
-    flag) order.  ``y`` holds the outcomes cell by cell, each cell's in the
-    canonical row order, so a per-row array is a per-cell one repeated
-    ``count`` times, and sums over it do not depend on the order of
-    individuals within a group.
+    flag) order.  ``y`` holds the outcomes cell by cell, each cell's sorted
+    by y with ties in data order (``_canonical_order``), so a per-row array
+    is a per-cell one repeated ``count`` times, and sums over it do not
+    depend on the order of individuals within a group.
     """
 
     group: np.ndarray  # index of the cell's group in ExperimentData.groups
@@ -253,6 +253,11 @@ class Cells:
         )
 
 
+def _loo_take_up(taken: np.ndarray, offered: np.ndarray) -> np.ndarray:
+    """Chat: the neighbours' take-ups over their offers, and 0 where no neighbour was offered."""
+    return np.divide(taken, offered, out=np.zeros_like(taken), where=offered > 0)
+
+
 def _canonical_order(key: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.lexsort((y, key))``'s permutation from two stable sorts: by y, then by the
     key in its narrowest unsigned type, which numpy radix-sorts while it fits 16 bits."""
@@ -270,7 +275,7 @@ class ExperimentData:
     ``ingest_csv``'s, which checks every row.
 
     ``cells`` and ``latent_cells`` are the only per-row caches.  The per-row
-    properties (``z``, ``d``, ``y``, ``row_order`` and the rest) are rebuilt
+    properties (``z``, ``d``, ``y``, ``cell_key`` and the rest) are rebuilt
     from the groups on each access, so hot paths should read the cells.
     """
 
@@ -317,11 +322,6 @@ class ExperimentData:
         """Each row's (group, z, d) cell as one integer, 4*group + 2*z + d."""
         return 4 * self.group_index + (2 * self.z + self.d).astype(np.intp)
 
-    @property
-    def row_order(self) -> np.ndarray:
-        """The canonical row order of ``cells.y``: by group, z, d and y, ties in data order."""
-        return _canonical_order(self.cell_key, self.y)
-
     @cached_property
     def cells(self) -> Cells:
         """The (group, z, d) cells, shared by every estimator run on this data."""
@@ -352,7 +352,6 @@ class ExperimentData:
         sum_d = total(d)
         n = self.sizes[group].astype(float)
         offered = total(z) - z
-        fallback = offered == 0
         return Cells(
             group=group,
             z=z,
@@ -362,8 +361,8 @@ class ExperimentData:
             saturation=self.group_saturation[group],
             n=n,
             dbar=(sum_d - d) / (n - 1),
-            chat=np.divide(sum_d - d, offered, out=np.zeros_like(d), where=~fallback),
-            chat_fallback=fallback,
+            chat=_loo_take_up(sum_d - d, offered),
+            chat_fallback=offered == 0,
             cbar_true=(total(flag) - flag) / (n - 1) if latent else None,
             row_cell=row_cell,
         )
@@ -387,12 +386,6 @@ class ExperimentData:
         if not self.has_latent:
             raise ValidationError("latent complier flags are not available")
         return np.concatenate([g.complier for g in self.groups], dtype=float)
-
-    @property
-    def cbar_true(self) -> np.ndarray:
-        """Leave-one-out neighbor complier share from the latent truth."""
-        cells = self.latent_cells
-        return cells.cbar_true[cells.row_cell]
 
     @property
     def has_pure_control_groups(self) -> bool:

@@ -21,7 +21,7 @@ from scipy.special import fdtrc
 
 from . import moments
 from .design import SaturationDesign
-from .dgp import Cells, ExperimentData, GroupData
+from .dgp import Cells, ExperimentData, GroupData, _loo_take_up
 from .errors import SingularSystemError, ValidationError
 from .model import BasisSpec
 
@@ -33,7 +33,6 @@ TARGET_COMPLIER_THETA = "complier_theta"
 TARGET_NAIVE = "naive_iv"
 
 RS_TARGETS = (TARGET_JOINT, TARGET_COMPLIER_PSI, TARGET_NEVER_TAKER, TARGET_POPULATION)
-ALL_TARGETS = RS_TARGETS + (TARGET_COMPLIER_THETA, TARGET_NAIVE)
 
 COND_LIMIT = 1e12
 CSV_HEADER = ("group_id", "saturation", "z", "d", "y")
@@ -106,9 +105,13 @@ def estimate_chat(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
-    num = d.sum() - d
-    den = z.sum() - z
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return _loo_take_up(d.sum() - d, z.sum() - z)
+
+
+def check_pure_control(policy: str, source: str = "pure_control policy") -> None:
+    """Reject a pure-control policy other than "gmm" and "drop"."""
+    if policy not in ("gmm", "drop"):
+        raise ValidationError(f"{source} must be 'gmm' or 'drop', got {policy!r}")
 
 
 def compliance_rate(data: ExperimentData) -> float:
@@ -429,8 +432,7 @@ def _estimate_cores(
     chat_policy: str,
 ) -> dict[str, _CoreResult]:
     _validate_inputs(data, design)
-    if pure_control not in ("gmm", "drop"):
-        raise ValidationError("pure_control policy must be 'gmm' or 'drop'")
+    check_pure_control(pure_control)
     for target in targets:
         if target not in RS_TARGETS:
             raise ValidationError(f"unknown RS-IV target {target!r}")
@@ -471,9 +473,16 @@ def rsiv_estimate(
     if target == TARGET_NAIVE:
         return naive_iv(data)
     if target == TARGET_COMPLIER_THETA:
-        return rsiv_complier_theta(
-            data, basis, design, pure_control=pure_control, chat_policy=chat_policy
-        )
+        # derived from the population and never-taker targets with a joint
+        # delta-method clustered covariance
+        rate = compliance_rate(data)
+        if not 0.0 < rate < 1.0:
+            raise ValidationError(
+                f"compliance rate {rate} is degenerate; complier theta not separately identified"
+            )
+        targets = (TARGET_NEVER_TAKER, TARGET_POPULATION)
+        cores = _estimate_cores(data, basis, design, targets, pure_control, chat_policy)
+        return _derive_complier_theta(data, cores[TARGET_POPULATION], cores[TARGET_NEVER_TAKER])
     cores = _estimate_cores(data, basis, design, (target,), pure_control, chat_policy)
     return cores[target].result
 
@@ -496,26 +505,6 @@ def rsiv_pure_control(
         raise ValidationError("pure-control GMM applies to the joint and population targets")
     cores = _estimate_cores(data, basis, design, (target,), "gmm", chat_policy)
     return cores[target].result
-
-
-def rsiv_complier_theta(
-    data: ExperimentData,
-    basis: BasisSpec,
-    design: SaturationDesign,
-    *,
-    pure_control: str = "gmm",
-    chat_policy: str = "estimate",
-) -> EstimateResult:
-    """Complier untreated-arm means, derived from the population and
-    never-taker targets with a joint delta-method clustered covariance."""
-    rate = compliance_rate(data)
-    if not 0.0 < rate < 1.0:
-        raise ValidationError(
-            f"compliance rate {rate} is degenerate; complier theta not separately identified"
-        )
-    targets = (TARGET_NEVER_TAKER, TARGET_POPULATION)
-    cores = _estimate_cores(data, basis, design, targets, pure_control, chat_policy)
-    return _derive_complier_theta(data, cores[TARGET_POPULATION], cores[TARGET_NEVER_TAKER])
 
 
 def estimate_all(

@@ -1,10 +1,12 @@
-"""Random-coefficients potential-outcome model.
+"""Random-coefficients potential-outcome model: the basis and the mean coefficients.
 
 An individual's outcome is f(neighbor take-up share)' times a coefficient
-vector that depends on her own treatment status: theta when untreated, psi
+vector that depends on their own treatment status: theta when untreated, psi
 when treated.  Direct and indirect effects are linear functionals of the
-mean coefficients, so everything here reduces to evaluating a basis vector
-f at points of [0, 1] and taking dot products.
+mean coefficients; ``effects.effect_curve`` evaluates them, with their
+delta-method bands, from estimated coefficients.  This module holds the
+basis f on [0, 1] and the sub-population mean coefficients the oracle
+returns.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnidentifiedEffectError, ValidationError
+from .errors import ValidationError
 
 _BOUNDEDNESS_GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -92,20 +94,6 @@ def basis_by_name(name: str) -> BasisSpec:
 
 
 @dataclass(frozen=True)
-class Coefficients:
-    """One individual's coefficient vectors (theta untreated, psi treated)."""
-
-    theta: tuple[float, ...]
-    psi: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.theta) != len(self.psi):
-            raise ValidationError("theta and psi must have the same length")
-        if not all(np.isfinite(v) for v in self.theta + self.psi):
-            raise ValidationError("coefficients must be finite")
-
-
-@dataclass(frozen=True)
 class MeanCoefficients:
     """Mean coefficients for a sub-population.
 
@@ -125,57 +113,3 @@ class MeanCoefficients:
             raise ValidationError("treated-arm contrast is not identified for never-takers")
         if self.theta_mean is None and self.contrast_mean is None:
             raise ValidationError("at least one of theta_mean/contrast_mean required")
-
-    @property
-    def psi_mean(self) -> tuple[float, ...] | None:
-        if self.theta_mean is None or self.contrast_mean is None:
-            return None
-        return tuple(t + c for t, c in zip(self.theta_mean, self.contrast_mean))
-
-
-def potential_outcome(coef: Coefficients, basis: BasisSpec, d: int, dbar: float) -> float:
-    """Outcome f(dbar)'[(1-d) theta + d psi] at own treatment d and neighbor share dbar."""
-    if d not in (0, 1):
-        raise ValidationError("d must be 0 or 1")
-    if not 0.0 <= dbar <= 1.0:
-        raise ValidationError("dbar must lie in [0, 1]")
-    fvec = basis.values(dbar)
-    vec = np.asarray(coef.psi if d == 1 else coef.theta, dtype=float)
-    if vec.size != basis.k:
-        raise ValidationError("coefficient length does not match basis")
-    return float(fvec @ vec)
-
-
-def direct_effect(mean: MeanCoefficients, basis: BasisSpec, dbar: float) -> float:
-    """Average effect of switching own treatment 0 -> 1 at fixed neighbor share dbar."""
-    if not 0.0 <= dbar <= 1.0:
-        raise ValidationError("dbar must lie in [0, 1]")
-    if mean.contrast_mean is None:
-        raise UnidentifiedEffectError(
-            f"direct effect is not identified for label {mean.label!r}"
-        )
-    return float(basis.values(dbar) @ np.asarray(mean.contrast_mean, dtype=float))
-
-
-def indirect_effect(
-    mean: MeanCoefficients, basis: BasisSpec, d: int, dbar: float, delta: float
-) -> float:
-    """Average effect of raising the neighbor share dbar -> dbar + delta at own treatment d."""
-    if d not in (0, 1):
-        raise ValidationError("d must be 0 or 1")
-    if delta <= 0.0:
-        raise ValidationError("delta must be a positive increment")
-    if not 0.0 <= dbar <= 1.0 or dbar + delta > 1.0 + 1e-12:
-        raise ValidationError("need 0 <= dbar and dbar + delta <= 1")
-    if d == 0:
-        vec = mean.theta_mean
-        what = "untreated-arm mean"
-    else:
-        vec = mean.psi_mean
-        what = "treated-arm mean"
-    if vec is None:
-        raise UnidentifiedEffectError(
-            f"{what} is not identified for label {mean.label!r}"
-        )
-    diff = basis.values(min(dbar + delta, 1.0)) - basis.values(dbar)
-    return float(diff @ np.asarray(vec, dtype=float))

@@ -165,6 +165,7 @@ def run_mc(
         raise ValidationError("need at least two replications")
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    estimator.check_pure_control(pure_control)
     for e in estimators:
         if e not in (ESTIMATOR_RS, ESTIMATOR_NAIVE):
             raise ValidationError(f"unknown estimator {e!r}")

@@ -390,7 +390,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "key, value", [("reps", 0), ("reps", -1), ("reps", 2.5), ("jobs", 0), ("jobs", -3),
-                       ("jobs", True), ("jobs", "2")]
+                       ("jobs", True), ("jobs", "2"), ("oracle_draws", 150000.9),
+                       ("oracle_draws", "1e6")]
     )
     def test_montecarlo_rejects_config_count(self, config_path, tmp_path, capsys, key, value):
         cfg = json.loads(open(config_path).read())
@@ -409,6 +410,83 @@ class TestErrorPaths:
             json.dump(cfg, fh)
         assert main(["montecarlo", "--config", config_path]) == 1
         assert "replication count required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("G", 235.7), ("G", True), ("G", 1), ("n", 20.5), ("n", "20")]
+    )
+    def test_sim_size_must_be_integer(self, config_path, tmp_path, capsys, key, value):
+        cfg = json.loads(open(config_path).read())
+        cfg["sim"][key] = value
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: sim.{key} must be an integer of at least 2, got {value!r}" in err
+        assert not out.exists()
+
+    def test_integral_float_counts_accepted(self, config_path, tmp_path):
+        # JSON writes 1e5 and 30.0 as floats; they read as the integers
+        runs = []
+        for as_float in (False, True):
+            cfg = json.loads(open(config_path).read())
+            if as_float:
+                cfg["sim"]["G"] = float(cfg["sim"]["G"])
+                cfg["mc"]["oracle_draws"] = 1e5
+            path = tmp_path / f"cfg-{as_float}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            data, report = tmp_path / f"data-{as_float}.csv", tmp_path / f"mc-{as_float}.json"
+            assert main(["simulate", "--config", str(path), "--out", str(data)]) == 0
+            assert main(["montecarlo", "--config", str(path), "--out", str(report)]) == 0
+            runs.append((data.read_bytes(), report.read_text()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: [cfg], "config must be a JSON object"),
+            (lambda cfg: {**cfg, "sim": [1, 2]}, "sim must be a JSON object"),
+            (lambda cfg: {**cfg, "design": 5}, "design must be a JSON object"),
+            (lambda cfg: {**cfg, "basis": ["linear"]}, "basis must be a string, got ['linear']"),
+            (lambda cfg: {**cfg, "estimation": "gmm"}, "estimation must be a JSON object"),
+            (lambda cfg: {**cfg, "mc": {**cfg["mc"], "estimators": "naive"}},
+             "mc.estimators must be a list, got 'naive'"),
+        ],
+        ids=["config-list", "sim-list", "design-int", "basis-list", "estimation-str",
+             "estimators-str"],
+    )
+    def test_malformed_config_type(self, config_path, tmp_path, capsys, edit, message):
+        cfg = edit(json.loads(open(config_path).read()))
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "mc.json"
+        assert main(["montecarlo", "--config", config_path, "--out", str(out)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["estimate", "--target", "joint"],
+                    ["estimate", "--target", "joint", "--pure-control", "drop"],
+                    ["effects"], ["montecarlo"]],
+        ids=["estimate", "estimate-flag", "effects", "montecarlo"],
+    )
+    def test_pure_control_checked_for_every_command(self, config_path, tmp_path, capsys,
+                                                    command):
+        cfg = json.loads(open(config_path).read())
+        data_path = str(tmp_path / "data.csv")
+        assert main(["simulate", "--config", config_path, "--out", data_path]) == 0
+        cfg["estimation"] = {"pure_control": "bogus"}
+        cfg["mc"]["estimators"] = ["naive"]  # so no estimator would read the policy
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "out"
+        args = [command[0], "--config", config_path, "--out", str(out), *command[1:]]
+        if command[0] != "montecarlo":
+            args += ["--data", data_path]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "estimation.pure_control must be 'gmm' or 'drop', got 'bogus'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",

@@ -12,7 +12,14 @@ from scipy.stats import f as f_dist
 
 import sativ
 from sativ.design import SaturationDesign
-from sativ.dgp import ExperimentData, GroupData, SimConfig, oracle_subpopulation_means, simulate_experiment
+from sativ.dgp import (
+    ExperimentData,
+    GroupData,
+    SimConfig,
+    _canonical_order,
+    oracle_subpopulation_means,
+    simulate_experiment,
+)
 from sativ.errors import ValidationError
 from sativ.estimator import (
     TARGET_COMPLIER_PSI,
@@ -29,7 +36,6 @@ from sativ.estimator import (
     ingest_csv,
     ior_test,
     naive_iv,
-    rsiv_complier_theta,
     rsiv_estimate,
     rsiv_pure_control,
 )
@@ -171,7 +177,7 @@ class TestExactRecovery:
         assert np.allclose(psi.coefficients, [a + b, g + dl], atol=1e-8)
         assert np.allclose(pop.coefficients, [a, g], atol=1e-8)
         with pytest.raises(ValidationError):
-            rsiv_complier_theta(data, LIN, INTERIOR)  # full compliance degenerate
+            rsiv_estimate(data, LIN, INTERIOR, TARGET_COMPLIER_THETA)  # full compliance degenerate
 
     def test_quadratic_basis_recovers_linear_truth(self):
         # a linear outcome is expressible in the quadratic basis with zero
@@ -242,7 +248,7 @@ class TestComplierTheta:
             for g in simulate_experiment(noiseless_config(seed=11)).groups
         ]
         with pytest.raises(ValidationError, match="degenerate"):
-            rsiv_complier_theta(ExperimentData(groups), LIN, INTERIOR)
+            rsiv_estimate(ExperimentData(groups), LIN, INTERIOR, TARGET_COMPLIER_THETA)
 
 
 class TestLargeSampleAgreement:
@@ -476,7 +482,7 @@ class TestCanonicalOrder:
     def test_rows_follow_lexsort(self, groups):
         data = ExperimentData(groups)
         ref = np.lexsort((data.y, data.d, data.z, data.group_index))
-        assert np.array_equal(data.row_order, ref)
+        assert np.array_equal(_canonical_order(data.cell_key, data.y), ref)
         n_per_row = np.repeat(data.sizes, data.sizes).astype(float)
         for cells in (data.cells, data.latent_cells):
             row = cells.row_cell[ref]
@@ -497,8 +503,7 @@ class TestCanonicalOrder:
             [(g.complier.sum() - g.complier) / (g.n - 1) for g in data.groups]
         )
         latent = data.latent_cells
-        assert latent.cbar_true[latent.row_cell[ref]].tobytes() == cbar[ref].tobytes()
-        assert data.cbar_true.tobytes() == cbar.tobytes()
+        assert latent.cbar_true[latent.row_cell].tobytes() == cbar.tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -537,8 +542,9 @@ class TestCanonicalOrder:
 
 
 class TestRowOrderKeyWidth:
-    """``row_order`` sorts the cell key in its narrowest unsigned type: 16 bits
-    up to 16,384 groups and 32 bits from there on."""
+    """``_canonical_order``, which sorts the rows into their cells, sorts the cell
+    key in its narrowest unsigned type: 16 bits up to 16,384 groups and 32 bits
+    from there on."""
 
     @pytest.mark.parametrize("G, width", [(16_384, np.uint16), (16_385, np.uint32)])
     def test_matches_four_key_lexsort(self, G, width):
@@ -551,11 +557,11 @@ class TestRowOrderKeyWidth:
         )
         assert np.min_scalar_type(data.cell_key.max()) == width
         ref = np.lexsort((data.y, data.d, data.z, data.group_index))
-        assert np.array_equal(data.row_order, ref)
+        assert np.array_equal(_canonical_order(data.cell_key, data.y), ref)
 
 
 class TestRowOrderYTies:
-    """``row_order`` gives the four-key lexsort's permutation when y has ties,
+    """``_canonical_order`` gives the four-key lexsort's permutation when y has ties,
     -0.0 beside 0.0 or nan: such rows keep their data order."""
 
     @staticmethod
@@ -582,7 +588,7 @@ class TestRowOrderYTies:
         else:
             y[[5, 17, 2000]] = np.nan
         data = self._data(y)
-        assert np.array_equal(data.row_order, self._lexsort(data))
+        assert np.array_equal(_canonical_order(data.cell_key, data.y), self._lexsort(data))
         assert data.cells.y.tobytes() == data.y[self._lexsort(data)].tobytes()
 
 

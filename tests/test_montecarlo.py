@@ -63,6 +63,11 @@ class TestRunMC:
         with pytest.raises(ValidationError):
             run_mc(small_config(), reps=3, estimators=("ols",))
 
+    def test_unknown_pure_control(self):
+        # rejected even when no estimator that reads the policy runs
+        with pytest.raises(ValidationError, match="must be 'gmm' or 'drop', got 'bogus'"):
+            run_mc(small_config(), reps=3, estimators=("naive",), pure_control="bogus")
+
     def test_singular_replications_excluded_and_counted(self):
         # tiny groups with few compliers: some replications cannot identify
         # the complier arm and are dropped rather than failing the run
