@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from dataclasses import asdict
@@ -20,7 +21,7 @@ import numpy as np
 from . import dgp, effects, estimator, montecarlo
 from .design import SaturationDesign, validate_design
 from .dgp import ExperimentData, SimConfig
-from .errors import SingularSystemError, ValidationError
+from .errors import SingularSystemError, ValidationError, as_integer
 from .model import basis_by_name
 
 TARGET_NAMES = {
@@ -73,17 +74,16 @@ def design_from_config(cfg: dict) -> SaturationDesign:
     if block is None:
         raise ValidationError("config is missing the 'design' block")
     _check_keys(block, _DESIGN_KEYS, "design")
-    sats = block.get("saturations")
-    if sats is None:
+    if "saturations" not in block:
         raise ValidationError("design block needs 'saturations'")
+    sats = _numbers(block["saturations"], "design.saturations")
     if "counts" in block and "probs" in block:
         raise ValidationError("design block takes 'counts' or 'probs', not both")
     if "counts" in block:
-        return SaturationDesign.from_counts(sats, block["counts"])
+        return SaturationDesign.from_counts(sats, _numbers(block["counts"], "design.counts"))
     if "probs" in block:
-        return SaturationDesign.from_probs(sats, block["probs"])
-    j = len(sats)
-    return SaturationDesign.from_probs(sats, [1.0 / j] * j)
+        return SaturationDesign.from_probs(sats, _numbers(block["probs"], "design.probs"))
+    return SaturationDesign.from_probs(sats, [1.0 / len(sats) for _ in sats])
 
 
 def basis_from_config(cfg: dict):
@@ -102,13 +102,25 @@ def pure_control_from_config(cfg: dict, flag: str | None = None) -> str:
     return flag or policy
 
 
-def _integer(value, source: str, minimum: int) -> int:
-    """An integer config value or flag: an int, or a float with an integral value
-    (JSON may write 10**6 as 1e6).  Bools, strings and fractions are refused."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < minimum:
-        raise ValidationError(f"{source} must be an integer of at least {minimum}, got {value!r}")
-    return int(value)
+def _numbers(value, source: str) -> tuple:
+    """A config list of finite numbers, as a tuple of the values as given (ints stay
+    ints, so the config echo keeps them).  Bools, strings and non-lists are refused."""
+
+    def finite(v) -> bool:  # an int too large for a float is still finite
+        return not isinstance(v, bool) and (
+            isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))
+        )
+
+    if not isinstance(value, list) or not all(map(finite, value)):
+        raise ValidationError(f"{source} must be a list of finite numbers, got {value!r}")
+    return tuple(value)
+
+
+def _seed(value):
+    """sim.seed: a nonnegative integer or a list of them, numpy's SeedSequence entropy."""
+    if isinstance(value, list):
+        return tuple(as_integer(v, "sim.seed entry", 0) for v in value)
+    return as_integer(value, "sim.seed", 0)
 
 
 def simconfig_from_config(cfg: dict) -> SimConfig:
@@ -119,20 +131,17 @@ def simconfig_from_config(cfg: dict) -> SimConfig:
     design = design_from_config(cfg)
     try:
         kwargs = dict(
-            G=_integer(block["G"], "sim.G", 2),
-            n=_integer(block["n"], "sim.n", 2),
+            G=as_integer(block["G"], "sim.G", 2),
+            n=as_integer(block["n"], "sim.n", 2),
             design=design,
-            means=tuple(block["means"]),
-            kappa=tuple(block.get("kappa", (0.0, 0.0, 0.0, 0.0))),
-            sigma=tuple(block.get("sigma", (0.0, 0.0, 0.0, 0.0))),
-            seed=block.get("seed", 0),
+            means=_numbers(block["means"], "sim.means"),
+            seed=_seed(block.get("seed", 0)),
         )
     except KeyError as exc:
         raise ValidationError(f"sim block is missing {exc}") from None
-    if "complier_shares" in block:
-        kwargs["complier_shares"] = tuple(block["complier_shares"])
-    if "share_probs" in block:
-        kwargs["share_probs"] = tuple(block["share_probs"])
+    for key in ("kappa", "sigma", "complier_shares", "share_probs"):
+        if key in block:
+            kwargs[key] = _numbers(block[key], f"sim.{key}")
     return SimConfig(**kwargs)
 
 
@@ -295,8 +304,8 @@ def _cmd_effects(args) -> int:
 def _count(flag_value, flag: str, block: dict, key: str, default):
     """The flag's value if given, else the mc block's, else ``default``: an integer >= 1."""
     if flag_value is not None:
-        return _integer(flag_value, flag, 1)
-    return _integer(block[key], f"mc.{key}", 1) if key in block else default
+        return as_integer(flag_value, flag, 1)
+    return as_integer(block[key], f"mc.{key}", 1) if key in block else default
 
 
 def _cmd_montecarlo(args) -> int:
@@ -321,7 +330,7 @@ def _cmd_montecarlo(args) -> int:
         estimators=tuple(estimators),
         jobs=jobs,
         pure_control=pure_control,
-        oracle_draws=_integer(mc_block.get("oracle_draws", 10**6), "mc.oracle_draws", 1),
+        oracle_draws=as_integer(mc_block.get("oracle_draws", 10**6), "mc.oracle_draws", 1),
     )
     text = montecarlo.report_to_json(report)
     if args.out:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 from .model import BasisSpec
 
 _WEIGHT_TOL = 1e-12
@@ -53,9 +53,7 @@ class SaturationDesign:
 
     @classmethod
     def from_counts(cls, saturations, counts) -> "SaturationDesign":
-        counts = tuple(int(c) for c in counts)
-        if any(c < 0 for c in counts):
-            raise ValidationError("counts must be nonnegative")
+        counts = tuple(as_integer(c, "design count", 0) for c in counts)
         total = sum(counts)
         if total <= 0:
             raise ValidationError("counts must sum to a positive number of groups")

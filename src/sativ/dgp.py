@@ -28,6 +28,7 @@ from .model import (
 from .streams import TAG_GROUP, TAG_ORACLE, TAG_SATURATIONS, Seed, substream, substreams
 
 DEFAULT_SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)
+ORACLE_BLOCK = 2**15  # draws per block of the oracle's stream (256 KB per float array)
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,14 @@ def _coefficient(
     cbar: np.ndarray,
     cbar_moments: tuple[float, float],
     u: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``draw_coefficient``'s formula, given its standard normal draws u (sigma_j > 0).
 
-    It is evaluated in place, in u and at most one new array, with the
-    operations and order of ``mean + sigma_j * (z * kappa_j / scale + u / scale)``
-    and ``z = (cbar - mu) / sd``, so the bytes are those of that expression.
+    It is evaluated in place, in u and at most one more array (``out``, or a
+    new one), with the operations and order of
+    ``mean + sigma_j * (z * kappa_j / scale + u / scale)`` and
+    ``z = (cbar - mu) / sd``, so the bytes are those of that expression.
     u is overwritten.
     """
     scale = math.sqrt(kappa_j**2 + 1.0)
@@ -149,7 +152,7 @@ def _coefficient(
     mu, sd = cbar_moments
     if sd <= 0.0:
         raise ValidationError("share distribution is degenerate but kappa is nonzero")
-    coef = np.subtract(cbar, mu)
+    coef = np.subtract(cbar, mu, out=out)
     coef /= sd
     coef *= kappa_j
     coef /= scale
@@ -455,38 +458,97 @@ def _support_indices(rng: np.random.Generator, probs, size: int) -> np.ndarray:
     """The int64 indices ``rng.choice(len(probs), size, p=probs)`` draws, from the same
     uniforms: the number of interior edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or
     below each draw, which is choice's ``searchsorted(cdf, u, side="right")``."""
+    return _count_edges(rng.random(size), probs, out=np.empty(size, dtype=np.int64))
+
+
+def _count_edges(u: np.ndarray, probs, out: np.ndarray) -> np.ndarray:
+    """``out``, set to the support index of each uniform in u: the number of interior
+    edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or below it."""
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]
-    u = rng.random(size)
-    idx = np.zeros(size, dtype=np.int64)
+    out[...] = 0
     for edge in cdf[:-1]:
-        idx += u >= edge
-    return idx
+        out += u >= edge
+    return out
 
 
 def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
-    """Draw (complier flag, leave-one-out share, coefficients) for i.i.d. individuals.
+    """The oracle's draws for i.i.d. individuals, streamed in blocks of ``ORACLE_BLOCK``.
 
     Exchangeability within groups means an individual's latent state is fully
     described by the group share and her own complier flag, so no group
-    structure is needed here.  The coefficients come as an iterator over
-    their four rows (alpha, beta, gamma, delta), each drawn only when the
-    iterator reaches it, so a caller that reduces each row before taking the
-    next never holds more than one.
+    structure is needed here.  The stream draws all support uniforms, then all
+    complier uniforms, then each coefficient's normals in turn, as one
+    full-size call of each would: PCG64's ``random`` and ``standard_normal``
+    do not depend on the call size.  Per draw only the support index and the
+    complier flag are kept (2 bytes); the uniforms, ``cbar``, the normals and
+    the coefficients exist for one block at a time, in buffers reused from
+    block to block.  (Allocating them per block made glibc trim and re-fault
+    its heap top every block: ~5,000 more minor page faults per 1e6 draws.)
+
+    Returns the complier flag of each draw (``bool``) and a generator of
+    ``(j, c, cbar, row)`` for coefficient j = 0..3 (alpha, beta, gamma, delta)
+    in turn, block by block: the block's complier flags as floats, its
+    leave-one-out shares and its coefficient j.
     """
     if n_draws < 10**5:
         raise ValidationError("oracle needs at least 1e5 draws")
     rng = substream(cfg.seed if seed is None else seed, TAG_ORACLE)
-    k = np.asarray(cfg.complier_counts)[_support_indices(rng, cfg.probs, n_draws)]
-    c = (rng.random(n_draws) * cfg.n < k).astype(float)
-    cbar = (k - c) / (cfg.n - 1)
-    del k
+    counts = np.asarray(cfg.complier_counts)
+    blocks = [slice(a, min(a + ORACLE_BLOCK, n_draws)) for a in range(0, n_draws, ORACLE_BLOCK)]
+    support = np.empty(n_draws, dtype=np.min_scalar_type(len(counts) - 1))
+    complier = np.empty(n_draws, dtype=bool)
+    u = np.empty(ORACLE_BLOCK)
+    key, k = np.empty((2, ORACLE_BLOCK), dtype=np.intp)
+    for b in blocks:  # _support_indices, block by block
+        _count_edges(rng.random(out=u[: b.stop - b.start]), cfg.probs, out=support[b])
+    for b in blocks:  # complier iff u * n < k, the point's complier count
+        m = b.stop - b.start
+        rng.random(out=u[:m])
+        u[:m] *= cfg.n
+        # numpy gathers with an intp index ~3x faster than with a narrow one, and
+        # take's default mode="raise" copies out; the indices are in range anyway
+        np.copyto(key[:m], support[b])
+        np.take(counts, key[:m], out=k[:m], mode="clip")
+        np.less(u[:m], k[:m], out=complier[b])
+    return complier, _oracle_blocks(cfg, rng, support, complier, blocks)
+
+
+def _oracle_blocks(cfg: SimConfig, rng: np.random.Generator, support, complier, blocks):
+    """The block generator of ``_oracle_draws``, from the per-draw support indices and flags.
+
+    Every block is computed in the same buffers, so an array it yields holds
+    its block only until the next one is requested.  The coefficients take
+    ``draw_coefficient``'s draws and arithmetic.
+    """
+    # cbar = (k - c) / (n - 1) of each support point and own flag, at 2 * support + flag
+    counts = np.asarray(cfg.complier_counts)
+    cbar_of = ((counts[:, None] - np.array([0.0, 1.0])) / (cfg.n - 1)).ravel()
     moments = share_moments(cfg)
-    rows = (
-        draw_coefficient(cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, rng)
-        for j in range(4)
-    )
-    return c, cbar, rows
+    key = np.empty(ORACLE_BLOCK, dtype=np.intp)
+    buffers = np.empty((4, ORACLE_BLOCK))
+    for j, (mean, kappa, sigma) in enumerate(zip(cfg.means, cfg.kappa, cfg.sigma)):
+        for b in blocks:
+            m = b.stop - b.start
+            c, cbar, u, row = buffers[:, :m]
+            np.copyto(key[:m], support[b])
+            key[:m] *= 2
+            key[:m] += complier[b]
+            np.take(cbar_of, key[:m], out=cbar, mode="clip")
+            np.copyto(c, complier[b])
+            if sigma == 0.0:
+                row.fill(mean)
+            else:
+                rng.standard_normal(out=u)
+                row = _coefficient(mean, kappa, sigma, cbar, moments, u, out=row)
+            yield j, c, cbar, row
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a·b in numpy's own loop.  A BLAS dot of a block this long (over 10,000
+    entries) wakes OpenBLAS's worker threads, which then spin on the other
+    cores through the work that follows, such as a study's replications."""
+    return np.einsum("i,i->", a, b)
 
 
 def oracle_subpopulation_means(
@@ -494,18 +556,15 @@ def oracle_subpopulation_means(
 ) -> dict[str, MeanCoefficients]:
     """Brute-force average coefficients for {population, compliers, never-takers}.
 
-    These are the ground-truth targets for the estimator bias checks.
+    These are the ground-truth targets for the estimator bias checks.  Each
+    mean is a sum of per-block partial sums.
     """
-    c, _, rows = _oracle_draws(cfg, n_draws, seed)
-    n_c = c.sum()
-    total, complier = [], []
-    # a plain loop with del: enumerate or zip would keep the last row alive
-    # while the next one is drawn
-    for row in rows:
-        total.append(row.sum())
-        complier.append(row @ c)
-        del row
-    total, complier = np.array(total), np.array(complier)
+    flags, blocks = _oracle_draws(cfg, n_draws, seed)
+    n_c = np.count_nonzero(flags)
+    total, complier = np.zeros(4), np.zeros(4)
+    for j, c, _, row in blocks:
+        total[j] += row.sum()
+        complier[j] += _dot(row, c)
 
     def _means(m) -> tuple[tuple[float, float], tuple[float, float]]:
         return (float(m[0]), float(m[2])), (float(m[1]), float(m[3]))
@@ -528,31 +587,27 @@ def oracle_naive_iv_estimands(
     alpha_IV = E[alpha],              beta_IV  = E[C beta] / E[C],
     gamma_IV = E[Cbar gamma]/E[Cbar], delta_IV = E[C Cbar delta] / E[C Cbar].
 
+    Each is a ratio of sums of per-block partial sums, Σw·coefficient / Σw.
     A ratio whose denominator is 0 in the draws is undefined and raises
     ``ValidationError``: E[C Cbar] = 0 when no complier has a complier
     neighbour (n = 2 with one complier per group), E[C] = E[Cbar] = 0
     without compliers.
     """
-    c, cbar, rows = _oracle_draws(cfg, n_draws, seed)
-    weights = iter(
-        (
-            (None, None, None),
-            ("beta_IV", "E[C]", c),
-            ("gamma_IV", "E[Cbar]", cbar),
-            ("delta_IV", "E[C Cbar]", c * cbar),
-        )
+    weights = (  # (estimand, its denominator, its weight w from (c, cbar)) per coefficient
+        ("alpha_IV", "1", lambda c, cbar: np.ones_like(c)),
+        ("beta_IV", "E[C]", lambda c, cbar: c),
+        ("gamma_IV", "E[Cbar]", lambda c, cbar: cbar),
+        ("delta_IV", "E[C Cbar]", lambda c, cbar: c * cbar),
     )
-    estimands = []
-    for row in rows:  # one row at a time, as in oracle_subpopulation_means
-        name, moment, w = next(weights)
-        if w is None:
-            estimands.append(row.mean())
-        else:
-            mean_w = w.mean()
-            if mean_w == 0.0:
-                raise ValidationError(
-                    f"naive-IV estimand {name} is undefined: {moment} = 0 in the oracle draws"
-                )
-            estimands.append((w * row).mean() / mean_w)
-        del row
-    return np.array(estimands)
+    _, blocks = _oracle_draws(cfg, n_draws, seed)
+    sum_w, sum_w_row = np.zeros(4), np.zeros(4)
+    for j, c, cbar, row in blocks:
+        w = weights[j][2](c, cbar)
+        sum_w[j] += w.sum()
+        sum_w_row[j] += _dot(w, row)
+    for (name, moment, _), s in zip(weights, sum_w):
+        if s == 0.0:
+            raise ValidationError(
+                f"naive-IV estimand {name} is undefined: {moment} = 0 in the oracle draws"
+            )
+    return sum_w_row / sum_w

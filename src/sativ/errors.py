@@ -1,8 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that raises one.
 
 The CLI maps ``ValidationError`` to exit code 1 and ``SingularSystemError``
 to exit code 2; everything else is a bug.
 """
+from numbers import Integral
 
 
 class ValidationError(ValueError):
@@ -19,3 +20,12 @@ class SingularSystemError(RuntimeError):
 
 class UnidentifiedEffectError(ValidationError):
     """The requested effect is not identified for the requested sub-population."""
+
+
+def as_integer(value, source: str, minimum: int) -> int:
+    """An integer input: an integer, or a float with an integral value (JSON may
+    write 10**6 as 1e6).  Bools, strings and fractions raise ``ValidationError``."""
+    integral = isinstance(value, Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ValidationError(f"{source} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)

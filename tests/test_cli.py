@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +441,72 @@ class TestErrorPaths:
             assert main(["montecarlo", "--config", str(path), "--out", str(report)]) == 0
             runs.append((data.read_bytes(), report.read_text()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("sim", "means", 5, "sim.means must be a list of finite numbers, got 5"),
+            ("sim", "means", [0.5, 0.2, float("inf"), 0.8],
+             "sim.means must be a list of finite numbers, got [0.5, 0.2, inf, 0.8]"),
+            ("design", "saturations", 5,
+             "design.saturations must be a list of finite numbers, got 5"),
+            ("design", "saturations", [], "design needs at least one saturation"),
+            ("design", "counts", [6.5, 6, 6, 6, 6],
+             "design count must be an integer of at least 0, got 6.5"),
+            ("design", "counts", [True, 6, 6, 6, 6],
+             "design.counts must be a list of finite numbers, got [True, 6, 6, 6, 6]"),
+            ("design", "counts", "6", "design.counts must be a list of finite numbers, got '6'"),
+            ("sim", "kappa", [0, 0, "a", 0],
+             "sim.kappa must be a list of finite numbers, got [0, 0, 'a', 0]"),
+            ("sim", "sigma", [0.3, True, 0.2, 0.4],
+             "sim.sigma must be a list of finite numbers, got [0.3, True, 0.2, 0.4]"),
+            ("sim", "complier_shares", [0.1, float("nan")],
+             "sim.complier_shares must be a list of finite numbers, got [0.1, nan]"),
+            ("sim", "share_probs", "0.5",
+             "sim.share_probs must be a list of finite numbers, got '0.5'"),
+            ("sim", "seed", "x", "sim.seed must be an integer of at least 0, got 'x'"),
+            ("sim", "seed", -1, "sim.seed must be an integer of at least 0, got -1"),
+            ("sim", "seed", 1.5, "sim.seed must be an integer of at least 0, got 1.5"),
+            ("sim", "seed", [1, "a"], "sim.seed entry must be an integer of at least 0, got 'a'"),
+        ],
+        ids=["means-int", "means-inf", "saturations-int", "saturations-empty",
+             "counts-fraction", "counts-bool", "counts-str", "kappa-str", "sigma-bool",
+             "shares-nan", "share-probs-str", "seed-str", "seed-negative", "seed-fraction",
+             "seed-list-str"],
+    )
+    def test_config_value_refused(self, config_path, tmp_path, capsys, block, key, value,
+                                  message):
+        cfg = json.loads(Path(config_path).read_text())
+        cfg[block][key] = value
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(out)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_design_probs_refused(self, config_path, tmp_path, capsys):
+        cfg = json.loads(Path(config_path).read_text())
+        del cfg["design"]["counts"]
+        cfg["design"]["probs"] = [0.2, 0.2, "0.2", 0.2, 0.2]
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["validate-design", "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert "error: design.probs must be a list of finite numbers, got [0.2, 0.2, '0.2'" in err
+
+    def test_list_seed_accepted(self, config_path, tmp_path):
+        # a seed may be a list of integers, numpy's SeedSequence entropy
+        cfg = json.loads(Path(config_path).read_text())
+        outputs = []
+        for seed in ([11, 3], [11, 3.0]):
+            cfg["sim"]["seed"] = seed
+            with open(config_path, "w") as fh:
+                json.dump(cfg, fh)
+            out = tmp_path / "data.csv"
+            assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -38,6 +38,21 @@ class TestSaturationDesign:
         with pytest.raises(ValidationError):
             SaturationDesign.from_probs((0.0,), (1.0,)).positive_part()
 
+    @pytest.mark.parametrize(
+        "count", [47.5, True, "47", -1], ids=["fraction", "bool", "string", "negative"]
+    )
+    def test_counts_must_be_integers(self, count):
+        with pytest.raises(
+            ValidationError, match=rf"design count must be an integer of at least 0, got {count!r}"
+        ):
+            SaturationDesign.from_counts((0.25, 0.75), (count, 47))
+
+    def test_integral_counts_accepted(self):
+        # a JSON count may be written 47.0, and numpy integers are integers
+        dsn = SaturationDesign.from_counts((0.25, 0.75), (47.0, np.int64(3)))
+        assert dsn == SaturationDesign.from_counts((0.25, 0.75), (47, 3))
+        assert all(type(c) is int for c in dsn.counts)
+
 
 class TestSampleSaturations:
     def test_equal_counts_give_exact_split(self):

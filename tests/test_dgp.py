@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 from sativ import design as design_mod
 from sativ.design import SaturationDesign
 from sativ.dgp import (
+    ORACLE_BLOCK,
     ExperimentData,
     GroupData,
     SimConfig,
@@ -220,6 +221,24 @@ def _reference_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
     return c, cbar, coefs
 
 
+def _streamed_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
+    """``_oracle_draws``' blocks joined into the reference's (c, cbar, (4, N) block),
+    checking on the way that each coefficient streams the same blocks of c and cbar."""
+    flags, blocks = _oracle_draws(cfg, n_draws, seed)
+    assert flags.dtype == bool and flags.shape == (n_draws,)
+    parts = [([], [], []) for _ in range(4)]
+    for j, c, cbar, row in blocks:
+        assert 0 < len(row) <= ORACLE_BLOCK and len(c) == len(cbar) == len(row)
+        for part, a in zip(parts[j], (c, cbar, row)):
+            part.append(a.copy())
+    c, cbar = np.concatenate(parts[0][0]), np.concatenate(parts[0][1])
+    for c_j, cbar_j, _ in parts[1:]:
+        assert np.array_equal(np.concatenate(c_j), c)
+        assert np.array_equal(np.concatenate(cbar_j), cbar)
+    assert np.array_equal(flags, c == 1.0)
+    return c, cbar, np.stack([np.concatenate(rows) for _, _, rows in parts])
+
+
 class TestSimulationDigest:
     """The simulated bytes are fixed: a faster simulator must draw the same
     numbers in the same order and combine them with the same arithmetic.
@@ -345,11 +364,11 @@ class TestSupportIndices:
             kappa=(0.0, 0.0, 1.2, 0.0), sigma=(0.3, 0.0, 0.2, 0.0),
             complier_shares=(0.0, 0.5, 1.0), share_probs=share_probs, seed=11,
         )
-        c, cbar, rows = _oracle_draws(cfg, 10**5, 8)
+        c, cbar, coefs = _streamed_oracle_draws(cfg, 10**5, 8)
         ref_c, ref_cbar, ref_coefs = _reference_oracle_draws(cfg, 10**5, 8)
         assert np.array_equal(c, ref_c)
         assert np.array_equal(cbar, ref_cbar)
-        assert np.array_equal(np.array(list(rows)), ref_coefs)
+        assert np.array_equal(coefs, ref_coefs)
 
 
 class TestConditionalBinomial:
@@ -418,8 +437,7 @@ class TestOracle:
         # the subpopulation means are per-coefficient sums; a boolean-masked
         # mean of each subpopulation is the reference, to float64 rounding
         means = oracle_subpopulation_means(SEC6, n_draws=2 * 10**5, seed=6)
-        c, _, rows = _oracle_draws(SEC6, 2 * 10**5, 6)
-        coefs = np.stack(list(rows))
+        c, _, coefs = _streamed_oracle_draws(SEC6, 2 * 10**5, 6)
         assert coefs.shape == (4, 2 * 10**5)
         ref = {
             "population": coefs.mean(axis=1),
@@ -470,16 +488,39 @@ class TestOracle:
         with pytest.raises(ValidationError, match=r"beta_IV .*E\[C\] = 0"):
             oracle_naive_iv_estimands(cfg, 10**5, seed=9)
 
-    def test_peak_memory_is_a_few_rows(self):
-        # c, cbar, the row being drawn and its normal draws: 8 MB each at
-        # 1e6 draws; a materialized (4, N) block and its temporaries peak at 96 MB
+    @pytest.mark.parametrize(
+        "n_draws", [10**5, 4 * ORACLE_BLOCK - 1, 4 * ORACLE_BLOCK, 4 * ORACLE_BLOCK + 1]
+    )
+    def test_blocks_at_boundaries_equal_reference(self, n_draws):
+        # short last blocks, none, and one of a single draw; the share_probs
+        # case has a noiseless, a kappa = 0 and a kappa != 0 coefficient
+        cfg = TestSimulationDigest.config("share_probs")
+        ref = _reference_oracle_draws(cfg, n_draws, 8)
+        for got, expect in zip(_streamed_oracle_draws(cfg, n_draws, 8), ref):
+            assert np.array_equal(got, expect)
+
+    @staticmethod
+    def peak_bytes(oracle, n_draws: int) -> int:
         tracemalloc.start()
         try:
-            oracle_subpopulation_means(SEC6, 10**6)
+            oracle(SEC6, n_draws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 10**6
+        return peak
+
+    def test_peak_memory_is_a_few_rows(self):
+        # 2 bytes per draw (support index and complier flag) and a few blocks:
+        # ~4 MB at 1e6 draws; full-length rows of all draws peak at 32 MB
+        assert self.peak_bytes(oracle_subpopulation_means, 10**6) < 8 * 10**6
+
+    def test_naive_estimands_peak_memory_is_a_few_rows(self):
+        # ~4 MB at 1e6 draws; full-length rows and weights peak at 40 MB
+        assert self.peak_bytes(oracle_naive_iv_estimands, 10**6) < 8 * 10**6
+
+    def test_peak_memory_grows_by_two_bytes_per_draw(self):
+        # ~22 MB at 1e7 draws, against 320 MB with full-length rows
+        assert self.peak_bytes(oracle_subpopulation_means, 10**7) < 2 * 10**7 + 6 * 10**6
 
     def test_naive_estimands_match_covariance_formula(self):
         # gamma_IV = gamma + Cov(Cbar, gamma) / E[Cbar]
