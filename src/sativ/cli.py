@@ -3,8 +3,8 @@ validate-design.
 
 Configuration is a JSON file with blocks per subcommand (design, basis, sim,
 estimation, mc); unknown keys are rejected.  Results go to files or stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 validation error, 2
-numerical failure (singular system).
+diagnostics to stderr.  Exit codes: 0 success, 1 validation error or a file
+that cannot be read or written, 2 numerical failure (singular system).
 """
 from __future__ import annotations
 
@@ -61,8 +61,6 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     _check_keys(cfg, _TOP_KEYS, "config")
@@ -442,7 +440,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularSystemError as exc:

@@ -133,12 +133,11 @@ def _coefficient(
     cbar: np.ndarray,
     cbar_moments: tuple[float, float],
     u: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``draw_coefficient``'s formula, given its standard normal draws u (sigma_j > 0).
 
-    It is evaluated in place, in u and at most one more array (``out``, or a
-    new one), with the operations and order of
+    It is evaluated in place, in u and at most one new array, with the
+    operations and order of
     ``mean + sigma_j * (z * kappa_j / scale + u / scale)`` and
     ``z = (cbar - mu) / sd``, so the bytes are those of that expression.
     u is overwritten.
@@ -152,7 +151,7 @@ def _coefficient(
     mu, sd = cbar_moments
     if sd <= 0.0:
         raise ValidationError("share distribution is degenerate but kappa is nonzero")
-    coef = np.subtract(cbar, mu, out=out)
+    coef = cbar - mu
     coef /= sd
     coef *= kappa_j
     coef /= scale
@@ -454,16 +453,10 @@ def simulate_experiment(cfg: SimConfig) -> ExperimentData:
     return ExperimentData(_simulate_groups(cfg, range(cfg.G), saturations), check=False)
 
 
-def _support_indices(rng: np.random.Generator, probs, size: int) -> np.ndarray:
-    """The int64 indices ``rng.choice(len(probs), size, p=probs)`` draws, from the same
-    uniforms: the number of interior edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or
-    below each draw, which is choice's ``searchsorted(cdf, u, side="right")``."""
-    return _count_edges(rng.random(size), probs, out=np.empty(size, dtype=np.int64))
-
-
 def _count_edges(u: np.ndarray, probs, out: np.ndarray) -> np.ndarray:
     """``out``, set to the support index of each uniform in u: the number of interior
-    edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or below it."""
+    edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or below it, which is
+    ``Generator.choice``'s ``searchsorted(cdf, u, side="right")``."""
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]
     out[...] = 0
@@ -472,83 +465,62 @@ def _count_edges(u: np.ndarray, probs, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _oracle_draws(cfg: SimConfig, n_draws: int, seed: Seed | None):
-    """The oracle's draws for i.i.d. individuals, streamed in blocks of ``ORACLE_BLOCK``.
+def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
+    """The oracle's draws for i.i.d. individuals, summed per latent state.
 
-    Exchangeability within groups means an individual's latent state is fully
-    described by the group share and her own complier flag, so no group
-    structure is needed here.  The stream draws all support uniforms, then all
-    complier uniforms, then each coefficient's normals in turn, as one
-    full-size call of each would: PCG64's ``random`` and ``standard_normal``
-    do not depend on the call size.  Per draw only the support index and the
-    complier flag are kept (2 bytes); the uniforms, ``cbar``, the normals and
-    the coefficients exist for one block at a time, in buffers reused from
-    block to block.  (Allocating them per block made glibc trim and re-fault
-    its heap top every block: ~5,000 more minor page faults per 1e6 draws.)
+    An individual's state is its group's support point j and its own complier
+    flag c, keyed k = 2j + c; with k_j the point's complier count it fixes
+    cbar_k = (k_j - c) / (n - 1).  Each coefficient is affine in its normal
+    draw, so the N_k draws of key k sum to S_k = N_k * coef(cbar_k, U_k / N_k),
+    with U_k the sum of their normals.
 
-    Returns the complier flag of each draw (``bool``) and a generator of
-    ``(j, c, cbar, row)`` for coefficient j = 0..3 (alpha, beta, gamma, delta)
-    in turn, block by block: the block's complier flags as floats, its
-    leave-one-out shares and its coefficient j.
+    The draws are those of one full-size call each for all support uniforms,
+    all complier uniforms and each noisy coefficient's normals, made in blocks
+    of ``ORACLE_BLOCK`` (PCG64's draws do not depend on the call size).  Per
+    draw only the key is kept (1 byte up to 128 support points).  A block's
+    uniforms, normals and intp keys live in buffers reused from block to block:
+    allocating them per block made glibc trim and re-fault its heap top.
+    Returns N_k, cbar_k and the (4, 2J) sums S_jk.
     """
     if n_draws < 10**5:
         raise ValidationError("oracle needs at least 1e5 draws")
     rng = substream(cfg.seed if seed is None else seed, TAG_ORACLE)
     counts = np.asarray(cfg.complier_counts)
+    n_keys = 2 * len(counts)
     blocks = [slice(a, min(a + ORACLE_BLOCK, n_draws)) for a in range(0, n_draws, ORACLE_BLOCK)]
-    support = np.empty(n_draws, dtype=np.min_scalar_type(len(counts) - 1))
-    complier = np.empty(n_draws, dtype=bool)
+    key = np.empty(n_draws, dtype=np.min_scalar_type(n_keys - 1))
     u = np.empty(ORACLE_BLOCK)
-    key, k = np.empty((2, ORACLE_BLOCK), dtype=np.intp)
-    for b in blocks:  # _support_indices, block by block
-        _count_edges(rng.random(out=u[: b.stop - b.start]), cfg.probs, out=support[b])
-    for b in blocks:  # complier iff u * n < k, the point's complier count
+    # numpy gathers and bincounts an intp index without a copy, a narrow one after one
+    at = np.empty(ORACLE_BLOCK, dtype=np.intp)
+    for b in blocks:  # the support index j, turned into the key below
+        _count_edges(rng.random(out=u[: b.stop - b.start]), cfg.probs, out=key[b])
+    n_k = np.zeros(n_keys, dtype=np.int64)
+    for b in blocks:  # complier iff u * n < k_j, the point's complier count
         m = b.stop - b.start
         rng.random(out=u[:m])
         u[:m] *= cfg.n
-        # numpy gathers with an intp index ~3x faster than with a narrow one, and
-        # take's default mode="raise" copies out; the indices are in range anyway
-        np.copyto(key[:m], support[b])
-        np.take(counts, key[:m], out=k[:m], mode="clip")
-        np.less(u[:m], k[:m], out=complier[b])
-    return complier, _oracle_blocks(cfg, rng, support, complier, blocks)
-
-
-def _oracle_blocks(cfg: SimConfig, rng: np.random.Generator, support, complier, blocks):
-    """The block generator of ``_oracle_draws``, from the per-draw support indices and flags.
-
-    Every block is computed in the same buffers, so an array it yields holds
-    its block only until the next one is requested.  The coefficients take
-    ``draw_coefficient``'s draws and arithmetic.
-    """
-    # cbar = (k - c) / (n - 1) of each support point and own flag, at 2 * support + flag
-    counts = np.asarray(cfg.complier_counts)
-    cbar_of = ((counts[:, None] - np.array([0.0, 1.0])) / (cfg.n - 1)).ravel()
+        np.copyto(at[:m], key[b])
+        complier = u[:m] < counts[at[:m]]
+        at[:m] *= 2
+        at[:m] += complier
+        key[b] = at[:m]
+        n_k += np.bincount(at[:m], minlength=n_keys)
+    cbar = ((counts[:, None] - np.array([0.0, 1.0])) / (cfg.n - 1)).ravel()
     moments = share_moments(cfg)
-    key = np.empty(ORACLE_BLOCK, dtype=np.intp)
-    buffers = np.empty((4, ORACLE_BLOCK))
+    sums = np.outer(np.asarray(cfg.means, dtype=float), n_k)
     for j, (mean, kappa, sigma) in enumerate(zip(cfg.means, cfg.kappa, cfg.sigma)):
+        if sigma == 0.0:
+            continue
+        normal_sums = np.zeros(n_keys)
         for b in blocks:
             m = b.stop - b.start
-            c, cbar, u, row = buffers[:, :m]
-            np.copyto(key[:m], support[b])
-            key[:m] *= 2
-            key[:m] += complier[b]
-            np.take(cbar_of, key[:m], out=cbar, mode="clip")
-            np.copyto(c, complier[b])
-            if sigma == 0.0:
-                row.fill(mean)
-            else:
-                rng.standard_normal(out=u)
-                row = _coefficient(mean, kappa, sigma, cbar, moments, u, out=row)
-            yield j, c, cbar, row
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a·b in numpy's own loop.  A BLAS dot of a block this long (over 10,000
-    entries) wakes OpenBLAS's worker threads, which then spin on the other
-    cores through the work that follows, such as a study's replications."""
-    return np.einsum("i,i->", a, b)
+            np.copyto(at[:m], key[b])
+            rng.standard_normal(out=u[:m])
+            normal_sums += np.bincount(at[:m], weights=u[:m], minlength=n_keys)
+        # an empty key's mean normal is read as 0; its sum N_k * coef is 0 anyway
+        mean_u = normal_sums / np.maximum(n_k, 1)
+        sums[j] = n_k * _coefficient(mean, kappa, sigma, cbar, moments, mean_u)
+    return n_k, cbar, sums
 
 
 def oracle_subpopulation_means(
@@ -557,21 +529,18 @@ def oracle_subpopulation_means(
     """Brute-force average coefficients for {population, compliers, never-takers}.
 
     These are the ground-truth targets for the estimator bias checks.  Each
-    mean is a sum of per-block partial sums.
+    mean is a sum of per-key coefficient sums over its keys (odd keys are the
+    compliers', even ones the never-takers').
     """
-    flags, blocks = _oracle_draws(cfg, n_draws, seed)
-    n_c = np.count_nonzero(flags)
-    total, complier = np.zeros(4), np.zeros(4)
-    for j, c, _, row in blocks:
-        total[j] += row.sum()
-        complier[j] += _dot(row, c)
+    n_k, _, sums = _oracle_sums(cfg, n_draws, seed)
+    n_c = n_k[1::2].sum()
 
     def _means(m) -> tuple[tuple[float, float], tuple[float, float]]:
         return (float(m[0]), float(m[2])), (float(m[1]), float(m[3]))
 
-    theta_all, contrast_all = _means(total / n_draws)
-    theta_c, contrast_c = _means(complier / n_c)
-    theta_n, _ = _means((total - complier) / (n_draws - n_c))
+    theta_all, contrast_all = _means(sums.sum(axis=1) / n_draws)
+    theta_c, contrast_c = _means(sums[:, 1::2].sum(axis=1) / n_c)
+    theta_n, _ = _means(sums[:, ::2].sum(axis=1) / (n_draws - n_c))
     return {
         LABEL_POPULATION: MeanCoefficients(LABEL_POPULATION, theta_all, contrast_all),
         LABEL_COMPLIER: MeanCoefficients(LABEL_COMPLIER, theta_c, contrast_c),
@@ -587,27 +556,20 @@ def oracle_naive_iv_estimands(
     alpha_IV = E[alpha],              beta_IV  = E[C beta] / E[C],
     gamma_IV = E[Cbar gamma]/E[Cbar], delta_IV = E[C Cbar delta] / E[C Cbar].
 
-    Each is a ratio of sums of per-block partial sums, Σw·coefficient / Σw.
-    A ratio whose denominator is 0 in the draws is undefined and raises
-    ``ValidationError``: E[C Cbar] = 0 when no complier has a complier
-    neighbour (n = 2 with one complier per group), E[C] = E[Cbar] = 0
-    without compliers.
+    Each is a ratio Σw·coefficient / Σw of per-key sums, with the weight w
+    of each key from its (c, cbar).  A ratio whose denominator is 0 in the
+    draws is undefined and raises ``ValidationError``: E[C Cbar] = 0 when no
+    complier has a complier neighbour (n = 2 with one complier per group),
+    E[C] = E[Cbar] = 0 without compliers.
     """
-    weights = (  # (estimand, its denominator, its weight w from (c, cbar)) per coefficient
-        ("alpha_IV", "1", lambda c, cbar: np.ones_like(c)),
-        ("beta_IV", "E[C]", lambda c, cbar: c),
-        ("gamma_IV", "E[Cbar]", lambda c, cbar: cbar),
-        ("delta_IV", "E[C Cbar]", lambda c, cbar: c * cbar),
-    )
-    _, blocks = _oracle_draws(cfg, n_draws, seed)
-    sum_w, sum_w_row = np.zeros(4), np.zeros(4)
-    for j, c, cbar, row in blocks:
-        w = weights[j][2](c, cbar)
-        sum_w[j] += w.sum()
-        sum_w_row[j] += _dot(w, row)
-    for (name, moment, _), s in zip(weights, sum_w):
+    n_k, cbar, sums = _oracle_sums(cfg, n_draws, seed)
+    c = np.resize([0.0, 1.0], len(cbar))  # each key's own complier flag
+    weights = {"1": np.ones_like(c), "E[C]": c, "E[Cbar]": cbar, "E[C Cbar]": c * cbar}
+    w = np.stack(list(weights.values()))
+    sum_w = (w * n_k).sum(axis=1)
+    for name, moment, s in zip(("alpha_IV", "beta_IV", "gamma_IV", "delta_IV"), weights, sum_w):
         if s == 0.0:
             raise ValidationError(
                 f"naive-IV estimand {name} is undefined: {moment} = 0 in the oracle draws"
             )
-    return sum_w_row / sum_w
+    return (w * sums).sum(axis=1) / sum_w

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the integer check that raises one.
 
-The CLI maps ``ValidationError`` to exit code 1 and ``SingularSystemError``
-to exit code 2; everything else is a bug.
+The CLI maps ``ValidationError`` and file errors to exit code 1 and
+``SingularSystemError`` to exit code 2; everything else is a bug.
 """
 from numbers import Integral
 

@@ -168,9 +168,10 @@ def q_exact(
         raise ValidationError(
             f"(n-1)*cbar = {count} is not an integer; use q_extended instead"
         )
+    dsn = design.positive_part() if condition_on_positive else design
     return MomentMatrices(
-        q0=q_extended(basis, cbar, n, design, 0, condition_on_positive),
-        q1=q_extended(basis, cbar, n, design, 1, condition_on_positive),
+        q0=q_extended(basis, cbar, n, dsn, 0),
+        q1=q_extended(basis, cbar, n, dsn, 1),
         cbar=cbar,
         n=n,
         condition_on_positive=condition_on_positive,
@@ -208,7 +209,6 @@ def q_extended(
     n,
     design: SaturationDesign,
     z: int,
-    condition_on_positive: bool = False,
 ) -> np.ndarray:
     """Q_z extended to non-integer (n-1)*cbar by linear interpolation.
 
@@ -223,7 +223,6 @@ def q_extended(
     if np.any((cbars < 0.0) | (cbars > 1.0)):
         raise ValidationError("cbar must lie in [0, 1]")
     sizes = _sizes(n, cbars.shape)
-    dsn = design.positive_part() if condition_on_positive else design
     count = (sizes - 1) * cbars
     nearest = np.round(count)
     exact = np.abs(count - nearest) <= INTEGER_TOL
@@ -233,7 +232,7 @@ def q_extended(
     span = int(sizes.max(initial=2))  # count < n <= span: count + span * n keys the pair
     keys = np.concatenate([lower, upper]).astype(np.int64) + span * np.tile(sizes, 2)
     keys, index = np.unique(keys, return_inverse=True)
-    q_lower, q_upper = np.split(q_z_at_count(basis, keys % span, keys // span, dsn, z)[index], 2)
+    q_lower, q_upper = np.split(q_z_at_count(basis, keys % span, keys // span, design, z)[index], 2)
     out = (1.0 - omega) * q_lower + omega * q_upper
     return out if np.ndim(cbar) or np.ndim(n) else out[0]
 

@@ -580,3 +580,25 @@ class TestErrorPaths:
 
     def test_missing_config_file(self, capsys):
         assert main(["validate-design", "--config", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "case", ["missing data", "data directory", "config directory", "non-UTF-8 data",
+                 "missing output directory"],
+    )
+    def test_file_error_exits_1(self, config_path, tmp_path, capsys, case):
+        # a file that cannot be opened, read, decoded or written ends in an
+        # error line and exit 1, not a traceback
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"group_id,saturation,z,d,y\n0,0.5,1,0,0.1\xff\n")
+        estimate = ["estimate", "--config", config_path, "--target", "joint", "--data"]
+        argv = {
+            "missing data": [*estimate, str(tmp_path / "missing.csv")],
+            "data directory": ["ior-test", "--data", str(tmp_path)],
+            "config directory": ["validate-design", "--config", str(tmp_path)],
+            "non-UTF-8 data": [*estimate, str(bad)],
+            "missing output directory": [
+                "simulate", "--config", config_path, "--out", str(tmp_path / "absent" / "d.csv"),
+            ],
+        }[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -13,8 +13,8 @@ from sativ.dgp import (
     ExperimentData,
     GroupData,
     SimConfig,
-    _oracle_draws,
-    _support_indices,
+    _count_edges,
+    _oracle_sums,
     draw_coefficient,
     oracle_naive_iv_estimands,
     oracle_subpopulation_means,
@@ -200,10 +200,11 @@ def _reference_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupD
 def _reference_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
     """The oracle's draws as one materialized (4, N) block, each coefficient
     written out as one expression: the oracle as it was before its rows
-    were streamed."""
+    were streamed.  Also each draw's key 2j + c (support point j, flag c)."""
     rng = substream(seed, TAG_ORACLE)
     counts = np.asarray(cfg.complier_counts)
-    k = counts[rng.choice(len(counts), size=n_draws, p=np.asarray(cfg.probs))]
+    point = rng.choice(len(counts), size=n_draws, p=np.asarray(cfg.probs))
+    k = counts[point]
     c = (rng.random(n_draws) * cfg.n < k).astype(float)
     cbar = (k - c) / (cfg.n - 1)
     mu, sd = share_moments(cfg)
@@ -218,25 +219,22 @@ def _reference_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
             coefs[j] = mean + sigma * u / scale
         else:
             coefs[j] = mean + sigma * ((cbar - mu) / sd * kappa / scale + u / scale)
-    return c, cbar, coefs
+    return 2 * point + c.astype(np.intp), c, cbar, coefs
 
 
-def _streamed_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
-    """``_oracle_draws``' blocks joined into the reference's (c, cbar, (4, N) block),
-    checking on the way that each coefficient streams the same blocks of c and cbar."""
-    flags, blocks = _oracle_draws(cfg, n_draws, seed)
-    assert flags.dtype == bool and flags.shape == (n_draws,)
-    parts = [([], [], []) for _ in range(4)]
-    for j, c, cbar, row in blocks:
-        assert 0 < len(row) <= ORACLE_BLOCK and len(c) == len(cbar) == len(row)
-        for part, a in zip(parts[j], (c, cbar, row)):
-            part.append(a.copy())
-    c, cbar = np.concatenate(parts[0][0]), np.concatenate(parts[0][1])
-    for c_j, cbar_j, _ in parts[1:]:
-        assert np.array_equal(np.concatenate(c_j), c)
-        assert np.array_equal(np.concatenate(cbar_j), cbar)
-    assert np.array_equal(flags, c == 1.0)
-    return c, cbar, np.stack([np.concatenate(rows) for _, _, rows in parts])
+def _assert_key_sums_match_reference(cfg: SimConfig, n_draws: int, seed: int):
+    """``_oracle_sums``' per-key statistics against the reference's draws: each
+    key's draw count N_k exactly, its cbar_k each of its draws' cbar bit for
+    bit, and each coefficient's per-key sum S_jk, summed in another order, to
+    float64 rounding."""
+    n_k, cbar, sums = _oracle_sums(cfg, n_draws, seed)
+    key, _, ref_cbar, coefs = _reference_oracle_draws(cfg, n_draws, seed)
+    n_keys = 2 * len(cfg.complier_shares)
+    assert n_k.dtype == np.int64 and cbar.shape == (n_keys,) and sums.shape == (4, n_keys)
+    assert np.array_equal(n_k, np.bincount(key, minlength=n_keys))
+    assert np.array_equal(cbar[key], ref_cbar)
+    ref_sums = [np.bincount(key, weights=row, minlength=n_keys) for row in coefs]
+    np.testing.assert_allclose(sums, ref_sums, rtol=1e-12, atol=0)
 
 
 class TestSimulationDigest:
@@ -350,7 +348,7 @@ class TestSupportIndices:
     )
     def test_equals_generator_choice(self, probs):
         rng, ref = substream(5, TAG_ORACLE), substream(5, TAG_ORACLE)
-        got = _support_indices(rng, probs, 10**5)
+        got = _count_edges(rng.random(10**5), probs, out=np.empty(10**5, dtype=np.int64))
         expect = ref.choice(len(probs), size=10**5, p=np.asarray(probs))
         assert got.dtype == expect.dtype
         assert np.array_equal(got, expect)
@@ -364,11 +362,7 @@ class TestSupportIndices:
             kappa=(0.0, 0.0, 1.2, 0.0), sigma=(0.3, 0.0, 0.2, 0.0),
             complier_shares=(0.0, 0.5, 1.0), share_probs=share_probs, seed=11,
         )
-        c, cbar, coefs = _streamed_oracle_draws(cfg, 10**5, 8)
-        ref_c, ref_cbar, ref_coefs = _reference_oracle_draws(cfg, 10**5, 8)
-        assert np.array_equal(c, ref_c)
-        assert np.array_equal(cbar, ref_cbar)
-        assert np.array_equal(coefs, ref_coefs)
+        _assert_key_sums_match_reference(cfg, 10**5, 8)
 
 
 class TestConditionalBinomial:
@@ -434,10 +428,11 @@ class TestOracle:
             oracle_subpopulation_means(SEC6, n_draws=10**4)
 
     def test_means_match_masked_reference(self):
-        # the subpopulation means are per-coefficient sums; a boolean-masked
-        # mean of each subpopulation is the reference, to float64 rounding
+        # the subpopulation means are sums of per-key sums; a boolean-masked
+        # mean of each subpopulation of the reference draws is the reference,
+        # to float64 rounding
         means = oracle_subpopulation_means(SEC6, n_draws=2 * 10**5, seed=6)
-        c, _, coefs = _streamed_oracle_draws(SEC6, 2 * 10**5, 6)
+        _, c, _, coefs = _reference_oracle_draws(SEC6, 2 * 10**5, 6)
         assert coefs.shape == (4, 2 * 10**5)
         ref = {
             "population": coefs.mean(axis=1),
@@ -454,7 +449,7 @@ class TestOracle:
     @pytest.mark.parametrize("case", ["sigma0", "kappa0", "kappa", "share_probs", "pair"])
     def test_streamed_rows_match_block_reference(self, case):
         cfg = TestSimulationDigest.config(case)
-        c, cbar, coefs = _reference_oracle_draws(cfg, 10**5, 8)
+        _, c, cbar, coefs = _reference_oracle_draws(cfg, 10**5, 8)
         means = oracle_subpopulation_means(cfg, 10**5, seed=8)
         total, complier = coefs.sum(axis=1), coefs @ c
         ref = {
@@ -494,10 +489,7 @@ class TestOracle:
     def test_blocks_at_boundaries_equal_reference(self, n_draws):
         # short last blocks, none, and one of a single draw; the share_probs
         # case has a noiseless, a kappa = 0 and a kappa != 0 coefficient
-        cfg = TestSimulationDigest.config("share_probs")
-        ref = _reference_oracle_draws(cfg, n_draws, 8)
-        for got, expect in zip(_streamed_oracle_draws(cfg, n_draws, 8), ref):
-            assert np.array_equal(got, expect)
+        _assert_key_sums_match_reference(TestSimulationDigest.config("share_probs"), n_draws, 8)
 
     @staticmethod
     def peak_bytes(oracle, n_draws: int) -> int:
@@ -510,17 +502,22 @@ class TestOracle:
         return peak
 
     def test_peak_memory_is_a_few_rows(self):
-        # 2 bytes per draw (support index and complier flag) and a few blocks:
-        # ~4 MB at 1e6 draws; full-length rows of all draws peak at 32 MB
+        # 1 byte per draw (its key) and a few blocks: ~2 MB at 1e6 draws;
+        # full-length rows of all draws peak at 32 MB
         assert self.peak_bytes(oracle_subpopulation_means, 10**6) < 8 * 10**6
 
     def test_naive_estimands_peak_memory_is_a_few_rows(self):
-        # ~4 MB at 1e6 draws; full-length rows and weights peak at 40 MB
+        # ~2 MB at 1e6 draws; full-length rows and weights peak at 40 MB
         assert self.peak_bytes(oracle_naive_iv_estimands, 10**6) < 8 * 10**6
 
     def test_peak_memory_grows_by_two_bytes_per_draw(self):
-        # ~22 MB at 1e7 draws, against 320 MB with full-length rows
+        # ~11 MB at 1e7 draws, against 320 MB with full-length rows
         assert self.peak_bytes(oracle_subpopulation_means, 10**7) < 2 * 10**7 + 6 * 10**6
+
+    def test_peak_memory_grows_by_one_byte_per_draw(self):
+        # the key of each draw (1e7 bytes) and a few blocks; a support index
+        # and a flag per draw peak at ~22 MB
+        assert self.peak_bytes(oracle_naive_iv_estimands, 10**7) < 10**7 + 6 * 10**6
 
     def test_naive_estimands_match_covariance_formula(self):
         # gamma_IV = gamma + Cov(Cbar, gamma) / E[Cbar]
