@@ -10,12 +10,12 @@ from .estimator import (
     IORTestResult,
     estimate_all,
     estimate_chat,
-    ingest_csv,
     ior_test,
     naive_iv,
     rsiv_estimate,
     rsiv_pure_control,
 )
+from .io import ingest_csv
 from .model import (
     BasisSpec,
     MeanCoefficients,

@@ -11,17 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import dgp, effects, estimator, montecarlo
 from .design import SaturationDesign, validate_design
-from .dgp import ExperimentData, SimConfig
+from .dgp import SimConfig
 from .errors import SingularSystemError, ValidationError, as_integer
+from .io import write_curves_csv, write_data_csv, write_latent_csv
 from .model import basis_by_name
 
 TARGET_NAMES = {
@@ -63,6 +61,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"config {path} is not UTF-8 text") from None
     _check_keys(cfg, _TOP_KEYS, "config")
     return cfg
 
@@ -143,45 +143,8 @@ def simconfig_from_config(cfg: dict) -> SimConfig:
     return SimConfig(**kwargs)
 
 
-def write_data_csv(data: ExperimentData, path) -> None:
-    """Write the pinned data schema: group_id,saturation,z,d,y (one row per individual)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(estimator.CSV_HEADER) + "\n")
-        for g in data.groups:
-            # one line prefix per (z, d), indexed by 2z + d; z and d are binary
-            head = f"{g.group_id},{float(g.saturation)!r},"
-            prefix = [f"{head}{z},{d}," for z in (0, 1) for d in (0, 1)]
-            cell = _ints(2 * np.asarray(g.z) + np.asarray(g.d))
-            lines = map(operator.add, map(prefix.__getitem__, cell), map(repr, _floats(g.y)))
-            fh.write("\n".join(lines) + "\n")
-
-
-def write_latent_csv(data: ExperimentData, path) -> None:
-    """Latent-truth schema: group_id,complier,alpha,beta,gamma,delta."""
-    if not data.has_latent:
-        raise ValidationError("data has no latent truth (not generated by the simulator)")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("group_id,complier,alpha,beta,gamma,delta\n")
-        for g in data.groups:
-            prefix = [f"{g.group_id},{c}," for c in (0, 1)]  # by the binary complier flag
-            coefs = map(repr, _floats(g.coefs.ravel()))
-            rows = map(",".join, zip(coefs, coefs, coefs, coefs))
-            lines = map(operator.add, map(prefix.__getitem__, _ints(g.complier)), rows)
-            fh.write("\n".join(lines) + "\n")
-
-
-def _ints(v: np.ndarray) -> list[int]:
-    """Python ints, as ``int()`` gives them, for fast per-group formatting."""
-    return np.asarray(v).astype(np.int64).tolist()
-
-
-def _floats(v: np.ndarray) -> list:
-    """Python floats, as ``float()`` gives them, for fast per-group formatting."""
-    return np.asarray(v, dtype=float).tolist()
-
-
 def _finite_or_none(x: float | None):
-    return float(x) if x is not None and np.isfinite(x) else None
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 def _fallback_json(diag: estimator.EstimatorDiagnostics) -> dict:
@@ -270,29 +233,18 @@ def _cmd_effects(args) -> int:
     grid = effects.default_grid(args.grid_points)
     ie_grid = grid[grid + args.delta <= 1.0 + 1e-12]
     curves = [
-        effects.effect_curve(res[estimator.TARGET_JOINT], effects.KIND_DE_TREATED, grid, basis=basis),
-        effects.effect_curve(
-            res[estimator.TARGET_POPULATION], effects.KIND_IE0_POPULATION, ie_grid, args.delta, basis
-        ),
-        effects.effect_curve(
-            res[estimator.TARGET_COMPLIER_THETA], effects.KIND_IE0_TREATED, ie_grid, args.delta, basis
-        ),
-        effects.effect_curve(
-            res[estimator.TARGET_COMPLIER_PSI], effects.KIND_IE1_TREATED, ie_grid, args.delta, basis
-        ),
-        effects.effect_curve(
-            res[estimator.TARGET_NEVER_TAKER], effects.KIND_IE0_NEVER_TAKER, ie_grid, args.delta, basis
-        ),
-        effects.effect_curve(res[estimator.TARGET_COMPLIER_THETA], effects.KIND_PO_LINE, grid, basis=basis),
-        effects.effect_curve(res[estimator.TARGET_COMPLIER_PSI], effects.KIND_PO_LINE, grid, basis=basis),
+        effects.effect_curve(res[target], kind, g, args.delta, basis)
+        for target, kind, g in (
+            (estimator.TARGET_JOINT, effects.KIND_DE_TREATED, grid),
+            (estimator.TARGET_POPULATION, effects.KIND_IE0_POPULATION, ie_grid),
+            (estimator.TARGET_COMPLIER_THETA, effects.KIND_IE0_TREATED, ie_grid),
+            (estimator.TARGET_COMPLIER_PSI, effects.KIND_IE1_TREATED, ie_grid),
+            (estimator.TARGET_NEVER_TAKER, effects.KIND_IE0_NEVER_TAKER, ie_grid),
+            (estimator.TARGET_COMPLIER_THETA, effects.KIND_PO_LINE, grid),
+            (estimator.TARGET_COMPLIER_PSI, effects.KIND_PO_LINE, grid),
+        )
     ]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,dbar,estimate,se,ci_low,ci_high\n")
-        for c in curves:
-            kind = c.kind if c.kind != effects.KIND_PO_LINE else f"{c.kind}:{c.label}"
-            for i, x in enumerate(c.grid):
-                vals = (x, c.point[i], c.se[i], c.ci_low[i], c.ci_high[i])
-                fh.write(kind + "," + ",".join(repr(float(v)) for v in vals) + "\n")
+    write_curves_csv(curves, args.out)
     _write_meta(args.out, {"config_file": str(args.config), "data": str(args.data),
                            "delta": args.delta, "grid_points": args.grid_points,
                            "diagnostics": {t: _fallback_json(r.diagnostics) for t, r in res.items()}})
@@ -440,7 +392,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularSystemError as exc:

@@ -530,10 +530,13 @@ def oracle_subpopulation_means(
 
     These are the ground-truth targets for the estimator bias checks.  Each
     mean is a sum of per-key coefficient sums over its keys (odd keys are the
-    compliers', even ones the never-takers').
+    compliers', even ones the never-takers').  An empty subpopulation raises.
     """
     n_k, _, sums = _oracle_sums(cfg, n_draws, seed)
     n_c = n_k[1::2].sum()
+    for label, count in ((LABEL_COMPLIER, n_c), (LABEL_NEVER_TAKER, n_draws - n_c)):
+        if count == 0:
+            raise ValidationError(f"{label} means are undefined: no {label} in the oracle draws")
 
     def _means(m) -> tuple[tuple[float, float], tuple[float, float]]:
         return (float(m[0]), float(m[2])), (float(m[1]), float(m[3]))

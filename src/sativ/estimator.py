@@ -10,19 +10,17 @@ solving the over-identified system by two-stage least squares.
 """
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 from scipy.special import fdtrc
 
 from . import moments
 from .design import SaturationDesign
-from .dgp import Cells, ExperimentData, GroupData, _loo_take_up
+from .dgp import Cells, ExperimentData, _loo_take_up
 from .errors import SingularSystemError, ValidationError
+from .io import ingest_csv  # noqa: F401  the CLI calls, and perfbench traces, estimator.ingest_csv
 from .model import BasisSpec
 
 TARGET_JOINT = "joint"
@@ -35,10 +33,6 @@ TARGET_NAIVE = "naive_iv"
 RS_TARGETS = (TARGET_JOINT, TARGET_COMPLIER_PSI, TARGET_NEVER_TAKER, TARGET_POPULATION)
 
 COND_LIMIT = 1e12
-CSV_HEADER = ("group_id", "saturation", "z", "d", "y")
-_CSV_DTYPE = np.dtype(
-    [("group_id", "i8"), ("saturation", "f8"), ("z", "i8"), ("d", "i8"), ("y", "f8")]
-)
 
 
 @dataclass
@@ -593,121 +587,3 @@ def _f_sf(x: float, df1: int, df2: int) -> float:
     where a numerically indefinite covariance can put a Wald statistic.
     """
     return float(fdtrc(df1, df2, max(x, 0.0)))
-
-
-def _reject_rows(path) -> NoReturn:
-    """Check the data rows one at a time and raise for the first fault.
-
-    The slow twin of ``ingest_csv``'s vectorized checks, run only on a file
-    that fails them, so that the error names the faulty row and reason.
-    """
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # the header
-        body = fh.readlines()
-    groups: dict[int, list] = {}  # group id -> [saturation, first row, size]
-    for lineno, row in enumerate(csv.reader(body), start=2):
-        if len(row) != 5:
-            raise ValidationError(f"row {lineno}: expected 5 fields, got {len(row)}")
-        try:
-            gid = int(row[0])
-            sat = float(row[1])
-            z = int(row[2])
-            d = int(row[3])
-            y = float(row[4])
-        except ValueError as exc:
-            raise ValidationError(f"row {lineno}: {exc}") from None
-        if z not in (0, 1) or d not in (0, 1):
-            raise ValidationError(f"row {lineno}: z and d must be 0 or 1")
-        if d > z:
-            raise ValidationError(
-                f"row {lineno}: one-sided compliance violated (d=1 with z=0)"
-            )
-        if not 0.0 <= sat <= 1.0:
-            raise ValidationError(f"row {lineno}: saturation {sat} outside [0, 1]")
-        if not math.isfinite(y):
-            raise ValidationError(f"row {lineno}: outcome must be finite")
-        rec = groups.setdefault(gid, [sat, lineno, 0])
-        if rec[0] != sat:
-            raise ValidationError(f"row {lineno}: saturation differs within group {gid}")
-        rec[2] += 1
-    for gid, (_, line, size) in groups.items():
-        if size < 2:
-            raise ValidationError(
-                f"group {gid} has a single member (first row {line}); need at least two"
-            )
-    raise ValidationError(
-        "data file holds a number numpy does not parse: a digit separator (1_0), "
-        "a non-ASCII digit or an integer beyond 64 bits"
-    )
-
-
-def ingest_csv(path) -> ExperimentData:
-    """Read the data CSV (header group_id,saturation,z,d,y), validating each row.
-
-    A faulty file is rejected naming its first faulty row (the header is
-    row 1) and the first check that row fails: five fields (a blank line has
-    none), integer group id, z and d and float saturation and y, binary z
-    and d, d <= z, saturation in [0, 1], finite y, and the saturation of the
-    group's first row.  Then every group needs at least two rows.  Groups
-    keep the order of their first row, and rows their file order.
-    """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    header = next(csv.reader([text[:end]])) if text else None
-    if header is None or tuple(header) != CSV_HEADER:
-        raise ValidationError(
-            f"bad header {header}; expected {','.join(CSV_HEADER)}"
-        )
-    if end >= len(text) - 1:
-        raise ValidationError("data file contains no rows")
-    # the header holds no newline, so this is a blank data line, which
-    # np.loadtxt would skip
-    blank = "\n\n" in text
-    del text  # numpy parses the rows from the file, a line at a time
-    if blank:
-        _reject_rows(path)
-    try:
-        # numpy releases before 2.0 only warn, and truncate, on "1.5" in an int column
-        with warnings.catch_warnings(), open(path, encoding="utf-8") as fh:
-            warnings.simplefilter("error", DeprecationWarning)
-            fh.readline()  # the header
-            rec = np.loadtxt(
-                fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1
-            )
-    except (ValueError, DeprecationWarning):
-        _reject_rows(path)
-
-    ids, first, inverse = np.unique(rec["group_id"], return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    position = np.empty_like(by_first)
-    position[by_first] = np.arange(len(ids))
-    group_of = position[inverse]
-    sizes = np.bincount(group_of)
-    sat, z, d, y = rec["saturation"], rec["z"], rec["d"], rec["y"]
-    bad = (
-        (z < 0) | (z > 1) | (d < 0) | (d > 1) | (d > z)
-        | ~((sat >= 0.0) & (sat <= 1.0))
-        | ~np.isfinite(y)
-        | (sat != sat[first][inverse])
-    )
-    if bad.any() or (sizes < 2).any():
-        _reject_rows(path)
-
-    order = np.argsort(group_of, kind="stable")
-    z = z[order].astype(np.int8)
-    d = d[order].astype(np.int8)
-    y = y[order]
-    ends = np.cumsum(sizes).tolist()
-    groups = [
-        GroupData(group_id=gid, saturation=s, z=z[a:b], d=d[a:b], y=y[a:b])
-        for gid, s, a, b in zip(
-            ids[by_first].tolist(),
-            sat[first[by_first]].tolist(),
-            [0] + ends[:-1],
-            ends,
-        )
-    ]
-    return ExperimentData(groups, check=False)

@@ -5,17 +5,10 @@ import numpy as np
 import pytest
 
 from sativ import effects, estimator
-from sativ.cli import (
-    design_from_config,
-    load_config,
-    main,
-    simconfig_from_config,
-    write_data_csv,
-    write_latent_csv,
-)
+from sativ.cli import design_from_config, load_config, main, simconfig_from_config
 from sativ.design import SaturationDesign
 from sativ.dgp import ExperimentData, GroupData, SimConfig, simulate_experiment
-from sativ.estimator import ingest_csv
+from sativ.io import ingest_csv, write_data_csv, write_latent_csv
 from sativ.model import linear_basis
 from sativ.montecarlo import report_to_json, run_mc
 
@@ -602,3 +595,15 @@ class TestErrorPaths:
         }[case]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_data_row_named(self, config_path, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"group_id,saturation,z,d,y\n0,0.5,1,0,0.1\n0,0.5,0,0,0.1\xff\n")
+        assert main(["ior-test", "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: row 3: not UTF-8 text\n"
+
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"design": {"saturations": [0.5\xff]}}')
+        assert main(["validate-design", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config {path} is not UTF-8 text\n"

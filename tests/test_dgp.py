@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,14 @@ class TestOracle:
         cfg = homogeneous_config(complier_shares=(0.0,), sigma=(0.3, 0.3, 0.2, 0.4))
         with pytest.raises(ValidationError, match=r"beta_IV .*E\[C\] = 0"):
             oracle_naive_iv_estimands(cfg, 10**5, seed=9)
+
+    @pytest.mark.parametrize("shares, label", [((0.0,), "complier"), ((1.0,), "never_taker")])
+    def test_empty_subpopulation_raises(self, shares, label):
+        cfg = homogeneous_config(complier_shares=shares, sigma=(0.3, 0.3, 0.2, 0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no nan means, and no divide warning on the way
+            with pytest.raises(ValidationError, match=f"^{label} means are undefined: no {label} "):
+                oracle_subpopulation_means(cfg, 10**5, seed=9)
 
     @pytest.mark.parametrize(
         "n_draws", [10**5, 4 * ORACLE_BLOCK - 1, 4 * ORACLE_BLOCK, 4 * ORACLE_BLOCK + 1]

@@ -33,12 +33,12 @@ from sativ.estimator import (
     compliance_rate,
     estimate_all,
     estimate_chat,
-    ingest_csv,
     ior_test,
     naive_iv,
     rsiv_estimate,
     rsiv_pure_control,
 )
+from sativ.io import ingest_csv
 from sativ.model import linear_basis
 from sativ.streams import replication_seed, substream
 
@@ -756,6 +756,23 @@ class TestIngestCsv(object):
     def test_earliest_of_two_faults_named(self, tmp_path, body, match):
         self._rejects(tmp_path, body, match)
 
+    HEADER = b"group_id,saturation,z,d,y\n"
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (HEADER.replace(b"y", b"\xff") + b"0,0.5,1,0,0.1\n", "^row 1: not UTF-8 text$"),
+            # a compliance violation before a line that is not UTF-8, and after one
+            (HEADER + b"0,0.5,1,0,0.1\n0,0.5,0,1,0.3\n0,0.5,0,0,\xe9\n", r"^row 3: one-sided"),
+            (HEADER + b"0,0.5,1,0,0.1\n0,0.5,0,0,\xe9\n0,0.5,0,1,0.3\n", "^row 3: not UTF-8 text$"),
+        ],
+    )
+    def test_line_not_utf8_named_in_order(self, tmp_path, raw, match):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match=match):
+            ingest_csv(path)
+
     def test_row_faults_come_before_group_faults(self, tmp_path):
         self._rejects(tmp_path, "0,0.5,1,0,0.1\n1,0.5,1,0,0.1\n0,0.5,0,0,x\n", "^row 4: ")
         self._rejects(
@@ -827,7 +844,7 @@ class TestMixedSizeRoundTrip:
         return ExperimentData(groups, check=False), base.design
 
     def test_csv_round_trip_estimates_bit_identical(self, mixed, tmp_path):
-        from sativ.cli import write_data_csv
+        from sativ.io import write_data_csv
 
         data, design = mixed
         path = tmp_path / "mixed.csv"
@@ -878,7 +895,7 @@ class TestPeakMemory:
 
     @pytest.fixture(scope="class")
     def csv_path(self, tmp_path_factory):
-        from sativ.cli import write_data_csv
+        from sativ.io import write_data_csv
 
         data = simulate_experiment(noisy_sec6_config(G=2350))
         assert data.n_individuals >= 250_000

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sativ.design import SaturationDesign
@@ -24,6 +26,12 @@ def small_config(sigma=(0.3, 0.3, 0.2, 0.4), kappa=(0.0, 0.0, 1.2, 1.5), seed=5)
 
 
 class TestRunMC:
+    def test_empty_oracle_subpopulation_refused(self):
+        # every draw a complier: the never-taker truths are undefined, not nan
+        cfg = replace(small_config(kappa=(0.0, 0.0, 0.0, 0.0)), complier_shares=(1.0,))
+        with pytest.raises(ValidationError, match="^never_taker means are undefined"):
+            run_mc(cfg, reps=2, oracle_draws=10**5)
+
     def test_row_inventory(self):
         report = run_mc(small_config(), reps=3, oracle_draws=10**5)
         names = [r.name for r in report.rows]

@@ -46,3 +46,12 @@ def test_public_api():
     ]
     for name in sativ.__all__:
         assert getattr(sativ, name) is not None, name
+
+
+def test_traced_names_are_the_io_functions():
+    # perfbench wraps the functions under these names; each must be the one in sativ.io
+    from sativ import cli, estimator, io
+
+    assert estimator.ingest_csv is io.ingest_csv
+    assert sativ.ingest_csv is io.ingest_csv
+    assert cli.write_data_csv is io.write_data_csv
