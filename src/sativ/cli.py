@@ -19,7 +19,7 @@ from . import dgp, effects, estimator, montecarlo
 from .design import SaturationDesign, validate_design
 from .dgp import SimConfig
 from .errors import SingularSystemError, ValidationError, as_integer
-from .io import write_curves_csv, write_data_csv, write_latent_csv
+from .io import per_replication_csv_lines, write_curves_csv, write_data_csv, write_latent_csv
 from .model import basis_by_name
 
 TARGET_NAMES = {
@@ -298,7 +298,7 @@ def _cmd_montecarlo(args) -> int:
         print(text)
     if args.estimates_csv:
         Path(args.estimates_csv).write_text(
-            "\n".join(montecarlo.per_replication_csv_lines(report)) + "\n", encoding="utf-8"
+            "\n".join(per_replication_csv_lines(report)) + "\n", encoding="utf-8"
         )
     print(
         f"{report.reps_used}/{report.reps} replications in {report.runtime_seconds:.1f}s "

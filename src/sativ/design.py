@@ -15,6 +15,7 @@ from .errors import ValidationError, as_integer
 from .model import BasisSpec
 
 _WEIGHT_TOL = 1e-12
+WEAK_DET_THRESHOLD = 1e-10  # validate_design's bound on the relative determinant
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,15 @@ def validate_design(
     basis: BasisSpec,
     n_grid=(11, 101, 1001),
     cbar_grid=(0.1, 0.3, 0.5),
-    det_threshold: float = 1e-10,
 ) -> DesignDiagnostics:
     """Scan Q0/Q1 over a (cbar, n) grid and flag identification problems.
 
     The scan includes the large-n limit matrices, so a design whose
     determinants merely vanish as n grows (e.g. a single saturation) is
-    flagged as weakly identified at the default threshold.  The cluster
-    randomized case (only corner saturations) is flagged as singular:
-    minimum eigenvalue at or below 1e-12 at every grid point.
+    flagged as weakly identified: a relative determinant det(Q)/prod(diag Q)
+    below ``WEAK_DET_THRESHOLD``.  The cluster randomized case (only corner
+    saturations) is flagged as singular: minimum eigenvalue at or below
+    1e-12 at every grid point.
     """
     from . import moments  # deferred: moments consumes this module's types
 
@@ -172,7 +173,7 @@ def validate_design(
         )
 
     singular = bool(all(e <= 1e-12 for e in min_eigs))
-    weak = bool(min(rel_dets) < det_threshold)
+    weak = bool(min(rel_dets) < WEAK_DET_THRESHOLD)
     return DesignDiagnostics(
         per_saturation_counts=design.counts,
         interior_count=len(design.interior_saturations),
@@ -182,5 +183,5 @@ def validate_design(
         min_eigenvalue=float(min(min_eigs)),
         singular=singular,
         weakly_identified=singular or weak,
-        threshold=det_threshold,
+        threshold=WEAK_DET_THRESHOLD,
     )

