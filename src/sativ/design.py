@@ -149,38 +149,28 @@ def validate_design(
     """
     from . import moments  # deferred: moments consumes this module's types
 
-    dets0, dets1, rel_dets, min_eigs = [], [], [], []
-
-    def _record(q0: np.ndarray, q1: np.ndarray) -> None:
-        for q in (q0, q1):
-            det = float(np.linalg.det(q))
-            (dets0 if q is q0 else dets1).append(det)
-            diag_prod = float(np.prod(np.diag(q)))
-            rel_dets.append(det / diag_prod if diag_prod > 0 else 0.0)
-            min_eigs.append(float(np.linalg.eigvalsh(q)[0]))
-
     sizes = np.asarray(n_grid)
     if sizes.dtype.kind == "f" and np.all(sizes == np.round(sizes)):  # integral floats, e.g. 11.0
         sizes = sizes.astype(np.int64)
     cbars, sizes = (a.ravel() for a in np.meshgrid(cbar_grid, sizes, indexing="ij"))
-    q0s, q1s = (moments.q_extended(basis, cbars, sizes, design, z) for z in (0, 1))
-    for i, cbar in enumerate(cbar_grid):
-        for j in range(i * len(n_grid), (i + 1) * len(n_grid)):
-            _record(q0s[j], q1s[j])
-        _record(
-            moments.q_limit(basis, cbar, design, z=0),
-            moments.q_limit(basis, cbar, design, z=1),
-        )
+    q = np.concatenate([  # (2, grid + limits, K, K): Q0 and Q1 at every point
+        moments.q_extended(basis, cbars, sizes, design),
+        np.stack([moments.q_limit(basis, cbar, design) for cbar in cbar_grid], axis=1),
+    ], axis=1)
+    dets = np.linalg.det(q)
+    diag_prods = np.prod(np.diagonal(q, axis1=-2, axis2=-1), axis=-1)
+    rel_dets = np.divide(dets, diag_prods, out=np.zeros_like(dets), where=diag_prods > 0)
+    min_eigs = np.linalg.eigvalsh(q)[..., 0]
 
-    singular = bool(all(e <= 1e-12 for e in min_eigs))
-    weak = bool(min(rel_dets) < WEAK_DET_THRESHOLD)
+    singular = bool(np.all(min_eigs <= 1e-12))
+    weak = bool(rel_dets.min() < WEAK_DET_THRESHOLD)
     return DesignDiagnostics(
         per_saturation_counts=design.counts,
         interior_count=len(design.interior_saturations),
-        min_det_q0=float(min(dets0)),
-        min_det_q1=float(min(dets1)),
-        min_relative_det=float(min(rel_dets)),
-        min_eigenvalue=float(min(min_eigs)),
+        min_det_q0=float(dets[0].min()),
+        min_det_q1=float(dets[1].min()),
+        min_relative_det=float(rel_dets.min()),
+        min_eigenvalue=float(min_eigs.min()),
         singular=singular,
         weakly_identified=singular or weak,
         threshold=WEAK_DET_THRESHOLD,

@@ -158,7 +158,7 @@ class _InstrumentPlan:
     """Zhat = R(cbar, n)^+ W for every RS target of one dataset.
 
     R depends on a cell only through its key (cbar, n), so Q0/Q1 are built
-    once per key (one ``q_extended`` call per z, over every size) and each R
+    once per key (one ``q_extended`` call over every size) and each R
     family (Q0, Q1, stacked Q) gets one batched pseudo-inverse shared by all
     targets.  The plan covers the cells of ``mask``: with a 0% saturation in
     the design, the groups with S > 0, and the moments condition on S > 0.
@@ -182,8 +182,7 @@ class _InstrumentPlan:
         )
         keys, self.key_of_cell = np.unique(cbar + 1j * n, return_inverse=True)  # by cbar, then n
         self.n_keys = len(keys)
-        self.q0 = moments.q_extended(basis, keys.real, keys.imag.astype(np.int64), design, 0)
-        self.q1 = moments.q_extended(basis, keys.real, keys.imag.astype(np.int64), design, 1)
+        self.q0, self.q1 = moments.q_extended(basis, keys.real, keys.imag.astype(np.int64), design)
         self._families: dict[str, tuple[np.ndarray, int, float]] = {}
 
     def _family(self, target: str) -> tuple[np.ndarray, int, float]:

@@ -8,9 +8,11 @@ enumeration, the closed forms for the linear basis, the linear-interpolation
 extension to non-integer (n-1)*cbar, the large-n limit matrices, the 2x2
 block inverse of the stacked Q, and a symmetric Moore-Penrose pseudo-inverse.
 
+``q_z_at_count``, ``q_extended`` and ``q_limit`` return Q0 and Q1 together,
+stacked on a leading axis indexed by z, from one enumeration.
 ``q_z_at_count`` and ``q_extended`` also take 1-D arrays of counts or cbar
-values and of group sizes n, and return a (m, K, K) stack from one call;
-``assemble_q`` and ``pseudo_inverse_stack`` work on such stacks.
+values and of group sizes n, and return (2, m, K, K) stacks from one call;
+``assemble_q`` and ``pseudo_inverse_stack`` work on (m, K, K) stacks.
 """
 from __future__ import annotations
 
@@ -103,21 +105,21 @@ def _sizes(n, shape: tuple) -> np.ndarray:
     return np.broadcast_to(sizes, shape).astype(np.int64)
 
 
-def q_z_at_count(
-    basis: BasisSpec, count, n, design: SaturationDesign, z: int
-) -> np.ndarray:
-    """Q_z at an integer neighbor complier count, i.e. cbar = count/(n-1).
+def q_z_at_count(basis: BasisSpec, count, n, design: SaturationDesign) -> np.ndarray:
+    """Q0 and Q1 at an integer neighbor complier count, i.e. cbar = count/(n-1).
 
     Q_z = sum_j w_j s_j^z (1-s_j)^(1-z) * E[f(Dbar) f(Dbar)'] with
-    (n-1)*Dbar ~ Binomial(count, s_j).
+    (n-1)*Dbar ~ Binomial(count, s_j); the result is indexed by z on its
+    leading axis, so ``q0, q1 = q_z_at_count(...)``.
 
-    ``count`` is an integer, giving a (K, K) matrix, or a 1-D integer array,
-    giving the (len(count), K, K) stack of Q_z at each count, with ``n`` an
-    integer or an aligned 1-D integer array.  Per saturation, one pmf table
-    covers the distinct counts of all pairs with n up to ``SHARED_PMF_MAX_N``,
-    and each pair at a larger n gets a one-row table.  Each size takes the
-    stacked product over its zero-padded pmf rows, which equals the scalar
-    form bit for bit.
+    ``count`` is an integer, giving a (2, K, K) pair, or a 1-D integer array,
+    giving the (2, len(count), K, K) stacks of Q0 and Q1 at each count, with
+    ``n`` an integer or an aligned 1-D integer array.  Per saturation, one
+    pmf table covers the distinct counts of all pairs with n up to
+    ``SHARED_PMF_MAX_N``, and each pair at a larger n gets a one-row table.
+    Each size takes the stacked product over its zero-padded pmf rows once and
+    adds it to Q0 and Q1 with their weights, which equals the scalar form bit
+    for bit.
     """
     counts = np.atleast_1d(np.asarray(count))
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
@@ -125,11 +127,7 @@ def q_z_at_count(
     sizes = _sizes(n, counts.shape)
     if counts.min() < 0 or np.any(counts > sizes - 1):
         raise ValidationError("complier count outside 0..n-1")
-    if z not in (0, 1):
-        raise ValidationError("z must be 0 or 1")
-    zweights = [(s, zweight) for s, w in zip(design.saturations, design.weights)
-                if (zweight := w * (s if z == 1 else 1.0 - s)) != 0.0]
-    out = np.zeros((len(counts), basis.k, basis.k))
+    out = np.zeros((2, len(counts), basis.k, basis.k))
     shared = sizes <= SHARED_PMF_MAX_N  # counts < n: at most SHARED_PMF_MAX_N**2 table entries
     for block in filter(len, [np.flatnonzero(shared), *np.flatnonzero(~shared)[:, None]]):
         distinct, pmf_row = np.unique(counts[block], return_inverse=True)
@@ -139,12 +137,17 @@ def q_z_at_count(
             parts.append((block[at], pmf_row[at]))
             grids.append(np.arange(counts[block[at]].max() + 1) / (size - 1))
         fvals = np.split(basis.values(np.concatenate(grids)), np.cumsum([len(g) for g in grids])[:-1])
-        for s, zweight in zweights:
+        for s, w in zip(design.saturations, design.weights):
+            zweights = [(q, zw) for q, zw in zip(out, (w * (1.0 - s), w * s)) if zw != 0.0]
+            if not zweights:
+                continue
             pmf = _pmf_rows(distinct, s)
             for (rows, pmf_at), f in zip(parts, fvals):
-                out[rows] += zweight * (f.T @ (pmf[pmf_at, : len(f)][:, :, None] * f))
+                product = f.T @ (pmf[pmf_at, : len(f)][:, :, None] * f)
+                for q, zweight in zweights:
+                    q[rows] += zweight * product
     out = _symmetrize(out)
-    return out if np.ndim(count) or np.ndim(n) else out[0]
+    return out if np.ndim(count) or np.ndim(n) else out[:, 0]
 
 
 def q_exact(
@@ -169,9 +172,10 @@ def q_exact(
             f"(n-1)*cbar = {count} is not an integer; use q_extended instead"
         )
     dsn = design.positive_part() if condition_on_positive else design
+    q0, q1 = q_extended(basis, cbar, n, dsn)
     return MomentMatrices(
-        q0=q_extended(basis, cbar, n, dsn, 0),
-        q1=q_extended(basis, cbar, n, dsn, 1),
+        q0=q0,
+        q1=q1,
         cbar=cbar,
         n=n,
         condition_on_positive=condition_on_positive,
@@ -203,21 +207,15 @@ def q_linear_closed_form(
     return np.array([[a, b], [b, c]])
 
 
-def q_extended(
-    basis: BasisSpec,
-    cbar,
-    n,
-    design: SaturationDesign,
-    z: int,
-) -> np.ndarray:
-    """Q_z extended to non-integer (n-1)*cbar by linear interpolation.
+def q_extended(basis: BasisSpec, cbar, n, design: SaturationDesign) -> np.ndarray:
+    """Q0 and Q1 extended to non-integer (n-1)*cbar by linear interpolation.
 
     Interpolates between the exact matrices at the two neighboring integer
     complier counts; returns the exact value when (n-1)*cbar is an integer.
-    ``cbar`` is a float, giving a (K, K) matrix, or a 1-D array, giving the
-    (len(cbar), K, K) stack from a single ``q_z_at_count`` call over the
+    ``cbar`` is a float, giving a (2, K, K) pair, or a 1-D array, giving the
+    (2, len(cbar), K, K) stacks from a single ``q_z_at_count`` call over the
     integer (count, n) pairs the values need.  ``n`` is an integer or an
-    aligned 1-D integer array.
+    aligned 1-D integer array.  The leading axis is z.
     """
     cbars = np.atleast_1d(np.asarray(cbar, dtype=float))
     if np.any((cbars < 0.0) | (cbars > 1.0)):
@@ -232,23 +230,23 @@ def q_extended(
     span = int(sizes.max(initial=2))  # count < n <= span: count + span * n keys the pair
     keys = np.concatenate([lower, upper]).astype(np.int64) + span * np.tile(sizes, 2)
     keys, index = np.unique(keys, return_inverse=True)
-    q_lower, q_upper = np.split(q_z_at_count(basis, keys % span, keys // span, design, z)[index], 2)
+    pairs = q_z_at_count(basis, keys % span, keys // span, design)[:, index]
+    q_lower, q_upper = np.split(pairs, 2, axis=1)
     out = (1.0 - omega) * q_lower + omega * q_upper
-    return out if np.ndim(cbar) or np.ndim(n) else out[0]
+    return out if np.ndim(cbar) or np.ndim(n) else out[:, 0]
 
 
-def q_limit(basis: BasisSpec, cbar: float, design: SaturationDesign, z: int) -> np.ndarray:
-    """Large-n limit of Q_z: E[S^z (1-S)^(1-z) f(cbar*S) f(cbar*S)']."""
+def q_limit(basis: BasisSpec, cbar: float, design: SaturationDesign) -> np.ndarray:
+    """Large-n limits of Q0 and Q1, indexed by z: E[S^z (1-S)^(1-z) f(cbar*S) f(cbar*S)']."""
     if not 0.0 <= cbar <= 1.0:
         raise ValidationError("cbar must lie in [0, 1]")
-    k = basis.k
-    out = np.zeros((k, k))
+    out = np.zeros((2, basis.k, basis.k))
     for s, w in zip(design.saturations, design.weights):
-        zweight = w * (s if z == 1 else 1.0 - s)
-        if zweight == 0.0:
-            continue
         fvec = basis.values(cbar * s)
-        out += zweight * np.outer(fvec, fvec)
+        product = np.outer(fvec, fvec)
+        for q, zweight in zip(out, (w * (1.0 - s), w * s)):
+            if zweight != 0.0:
+                q += zweight * product
     return _symmetrize(out)
 
 

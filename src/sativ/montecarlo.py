@@ -170,6 +170,8 @@ def run_mc(
     for e in estimators:
         if e not in (ESTIMATOR_RS, ESTIMATOR_NAIVE):
             raise ValidationError(f"unknown estimator {e!r}")
+    if not estimators:
+        raise ValidationError(f"need at least one estimator: {ESTIMATOR_RS!r} or {ESTIMATOR_NAIVE!r}")
     t0 = time.perf_counter()
     truths = oracle_truths(cfg, estimators, oracle_draws)
 

@@ -427,6 +427,16 @@ class TestErrorPaths:
         assert f"mc.{key} must be an integer of at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_montecarlo_rejects_empty_estimators(self, config_path, tmp_path, capsys):
+        cfg = json.loads(open(config_path).read())
+        cfg["mc"]["estimators"] = []
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "mc.json"
+        assert main(["montecarlo", "--config", config_path, "--reps", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need at least one estimator: 'rs_iv' or 'naive'\n"
+        assert not out.exists()
+
     def test_montecarlo_needs_a_replication_count(self, config_path, capsys):
         cfg = json.loads(open(config_path).read())
         del cfg["mc"]["reps"]

@@ -142,8 +142,9 @@ class TestValidateDesign:
 
     def test_large_n_grid_peak(self):
         """Sizes above 1024 take one pmf row per (count, n) pair.  This grid
-        peaked at 60 MB with one ``q_extended`` call per (cbar, n) and z, and
-        at 428 MB with one pmf table over all its pairs (44 MB now)."""
+        peaked at 60 MB with one ``q_extended`` call per (cbar, n) and z, at
+        48 MB with one call per z, and at 428 MB with one pmf table over all
+        its pairs (40 MB now, with one call for both z)."""
         dsn = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (1, 1, 1, 1, 1))
         tracemalloc.start()
         try:

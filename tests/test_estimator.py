@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -718,6 +719,34 @@ class TestValidationErrors:
             compliance_rate(ExperimentData(groups))
 
 
+_VALID_CSV = (
+    b"group_id,saturation,z,d,y\n0,0.5,1,1,0.25\n0,0.5,0,0,-1.5\n"
+    b"1,0.25,1,0,0.0\n1,0.25,0,0,2\n1,0.25,1,1,1e-3\n"
+)
+# bytes a damaged or hand-edited file tends to hold: separators, quotes,
+# blank lines, CR, NUL, bytes that are not UTF-8 and odd numerals
+_FUZZ_BYTES = st.one_of(
+    st.binary(min_size=1, max_size=4),
+    st.sampled_from([b"\n", b"\n\n", b'"', b",", b"\r", b"\x00", b"\xff", b"\xc3", b"\xe2\x82",
+                     b" ", b"-", b".", b"1e309", b"nan", b"inf", b"0x1", b"2", b"\xef\xbb\xbf"]),
+)
+
+
+@st.composite
+def _mutated_csv(draw) -> bytes:
+    """A small valid data file after 1-4 byte-level inserts, deletes or replacements."""
+    body = bytearray(_VALID_CSV)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = draw(st.integers(0, len(body)))
+        if op == "delete":
+            del body[at:at + draw(st.integers(1, 3))]
+        else:
+            chunk = draw(_FUZZ_BYTES)
+            body[at:at + (len(chunk) if op == "replace" else 0)] = chunk
+    return bytes(body)
+
+
 class TestIngestCsv(object):
     def _write(self, tmp_path, text):
         path = tmp_path / "data.csv"
@@ -912,6 +941,19 @@ class TestIngestCsv(object):
         assert data.groups[0].y.tolist() == [0.1, 0.3]
         assert data.groups[0].z.tolist() == [1, 0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(body=_mutated_csv())
+    def test_mutated_file_reads_or_is_refused(self, body):
+        # one directory per example: a function-scoped tmp_path would be shared by all of them
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(body)
+            try:
+                data = ingest_csv(path)
+            except ValidationError:
+                return
+        assert isinstance(data, ExperimentData)
+
 
 class TestMixedSizeRoundTrip:
     """10x the Sec. 6 groups with sizes spread over 20..212, as in the pipeline
@@ -956,7 +998,7 @@ class TestMixedSizeRoundTrip:
         for size in np.unique(keys[:, 1]):
             at = keys[:, 1] == size
             for z, q in ((0, plan.q0), (1, plan.q1)):
-                ref = moments.q_extended(LIN, keys[at, 0], int(size), positive, z)
+                ref = moments.q_extended(LIN, keys[at, 0], int(size), positive)[z]
                 assert q[at].tobytes() == ref.tobytes()
 
 

@@ -67,11 +67,11 @@ def reference_q(basis, cbar, n, design, z):
     """Q_z at (cbar, n): exact at integer (n-1)*cbar, else interpolated between counts."""
     count = (n - 1) * cbar
     if abs(count - round(count)) <= moments.INTEGER_TOL:
-        return moments.q_z_at_count(basis, round(count), n, design, z)
+        return moments.q_z_at_count(basis, round(count), n, design)[z]
     lower = int(np.floor(count))
     omega = count - lower
-    return ((1.0 - omega) * moments.q_z_at_count(basis, lower, n, design, z)
-            + omega * moments.q_z_at_count(basis, lower + 1, n, design, z))
+    return ((1.0 - omega) * moments.q_z_at_count(basis, lower, n, design)[z]
+            + omega * moments.q_z_at_count(basis, lower + 1, n, design)[z])
 
 
 def reference_instruments(data, basis, design, target, chat_policy):

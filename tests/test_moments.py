@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from sativ.design import SaturationDesign
+from sativ import moments
+from sativ.design import SaturationDesign, validate_design
+from sativ.dgp import SimConfig, simulate_experiment
 from sativ.errors import ValidationError
+from sativ.estimator import build_instruments, estimate_all
 from sativ.model import linear_basis, quadratic_basis
 from sativ.moments import (
     MomentMatrices,
@@ -95,22 +98,22 @@ class TestArrayForm:
     def test_q_z_at_count_array_equals_scalar_loop(self, design, basis, n):
         for z in (0, 1):
             loop = np.stack([scalar_q_z(basis, c, n, design, z) for c in range(n)])
-            assert np.array_equal(q_z_at_count(basis, np.arange(n), n, design, z), loop)
+            assert np.array_equal(q_z_at_count(basis, np.arange(n), n, design)[z], loop)
             some = np.array([n - 1, 0, n // 2])
-            assert np.array_equal(q_z_at_count(basis, some, n, design, z), loop[some])
-            assert np.array_equal(q_z_at_count(basis, n // 2, n, design, z), loop[n // 2])
+            assert np.array_equal(q_z_at_count(basis, some, n, design)[z], loop[some])
+            assert np.array_equal(q_z_at_count(basis, n // 2, n, design)[z], loop[n // 2])
 
     def test_q_z_at_count_rejects_bad_counts(self):
         for bad in (np.array([0, 11]), np.array([-1]), np.array([1.5]), np.array([], int)):
             with pytest.raises(ValidationError):
-                q_z_at_count(LIN, bad, 11, TWO_SAT, 0)
+                q_z_at_count(LIN, bad, 11, TWO_SAT)[0]
 
     def test_q_extended_array_equals_scalar_calls(self):
         cbars = np.array([0.0, 0.4, 0.45, 1.0, 0.3 + 1e-12, 0.777])
         for z in (0, 1):
-            stack = q_extended(quadratic_basis(), cbars, 11, SEC6_DESIGN, z)
+            stack = q_extended(quadratic_basis(), cbars, 11, SEC6_DESIGN)[z]
             for c, q in zip(cbars, stack):
-                one = q_extended(quadratic_basis(), float(c), 11, SEC6_DESIGN, z)
+                one = q_extended(quadratic_basis(), float(c), 11, SEC6_DESIGN)[z]
                 assert np.array_equal(q, one)
 
     def test_q_z_at_count_mixed_sizes_equal_scalar(self):
@@ -122,7 +125,7 @@ class TestArrayForm:
         for basis in (LIN, quadratic_basis()):
             for design in (SEC6_DESIGN, TWO_SAT):
                 for z in (0, 1):
-                    stack = q_z_at_count(basis, counts, ns, design, z)
+                    stack = q_z_at_count(basis, counts, ns, design)[z]
                     for c, n, q in zip(counts, ns, stack):
                         assert np.array_equal(q, scalar_q_z(basis, c, n, design, z))
 
@@ -132,7 +135,7 @@ class TestArrayForm:
         pairs = [(c, n) for n in (20, 1024, 1025, 3000) for c in {0, n - 1, *rng.integers(0, n, 3).tolist()}]
         counts, ns = rng.permutation(pairs).T
         for z in (0, 1):
-            stack = q_z_at_count(quadratic_basis(), counts, ns, SEC6_DESIGN, z)
+            stack = q_z_at_count(quadratic_basis(), counts, ns, SEC6_DESIGN)[z]
             for c, n, q in zip(counts, ns, stack):
                 assert np.array_equal(q, scalar_q_z(quadratic_basis(), c, n, SEC6_DESIGN, z))
 
@@ -144,9 +147,9 @@ class TestArrayForm:
         for basis in (LIN, quadratic_basis()):
             for design in (SEC6_DESIGN, TWO_SAT):
                 for z in (0, 1):
-                    stack = q_extended(basis, cbars, ns, design, z)
+                    stack = q_extended(basis, cbars, ns, design)[z]
                     for c, n, q in zip(cbars, ns, stack):
-                        assert np.array_equal(q, q_extended(basis, float(c), int(n), design, z))
+                        assert np.array_equal(q, q_extended(basis, float(c), int(n), design)[z])
 
     def test_array_n_rejections(self):
         counts = np.array([0, 3, 4])
@@ -158,11 +161,11 @@ class TestArrayForm:
             np.array([5, 5, 4]),  # count 4 above its own n-1 = 3
         ):
             with pytest.raises(ValidationError):
-                q_z_at_count(LIN, counts, bad_n, TWO_SAT, 0)
-        assert q_z_at_count(LIN, counts, np.array([5, 5, 5]), TWO_SAT, 0).shape == (3, 2, 2)
+                q_z_at_count(LIN, counts, bad_n, TWO_SAT)[0]
+        assert q_z_at_count(LIN, counts, np.array([5, 5, 5]), TWO_SAT)[0].shape == (3, 2, 2)
         for bad_n in (np.array([5, 5]), np.array([5, 1, 5]), np.array([5.0, 5.0, 5.0])):
             with pytest.raises(ValidationError):
-                q_extended(LIN, np.array([0.1, 0.5, 0.9]), bad_n, TWO_SAT, 1)
+                q_extended(LIN, np.array([0.1, 0.5, 0.9]), bad_n, TWO_SAT)[1]
 
     def test_pseudo_inverse_stack_flags_rank_deficient(self):
         stack = np.stack([np.diag([2.0, 4.0]), np.diag([2.0, 0.0]), np.zeros((2, 2))])
@@ -243,29 +246,29 @@ class TestClosedFormAgreement:
 
 class TestQExtended:
     def test_integer_point_equals_exact(self):
-        q = q_extended(LIN, 0.4, 11, TWO_SAT, z=1)
+        q = q_extended(LIN, 0.4, 11, TWO_SAT)[1]
         assert np.allclose(q, q_exact(LIN, 0.4, 11, TWO_SAT).q1, atol=1e-15)
 
     def test_midpoint_is_average(self):
         n = 11
         cbar_mid = 4.5 / (n - 1)
-        qa = q_z_at_count(LIN, 4, n, TWO_SAT, 0)
-        qb = q_z_at_count(LIN, 5, n, TWO_SAT, 0)
-        q = q_extended(LIN, cbar_mid, n, TWO_SAT, z=0)
+        qa = q_z_at_count(LIN, 4, n, TWO_SAT)[0]
+        qb = q_z_at_count(LIN, 5, n, TWO_SAT)[0]
+        q = q_extended(LIN, cbar_mid, n, TWO_SAT)[0]
         assert np.allclose(q, (qa + qb) / 2, atol=1e-15)
 
     def test_interpolation_weights(self):
         n = 11
-        qa = q_z_at_count(LIN, 4, n, TWO_SAT, 1)
-        qb = q_z_at_count(LIN, 5, n, TWO_SAT, 1)
-        q = q_extended(LIN, 4.25 / (n - 1), n, TWO_SAT, z=1)
+        qa = q_z_at_count(LIN, 4, n, TWO_SAT)[1]
+        qb = q_z_at_count(LIN, 5, n, TWO_SAT)[1]
+        q = q_extended(LIN, 4.25 / (n - 1), n, TWO_SAT)[1]
         assert np.allclose(q, 0.75 * qa + 0.25 * qb, atol=1e-15)
 
     def test_psd_everywhere(self):
         rng = substream(9)
         for cbar in rng.random(25):
             for z in (0, 1):
-                q = q_extended(quadratic_basis(), float(cbar), 17, SEC6_DESIGN, z)
+                q = q_extended(quadratic_basis(), float(cbar), 17, SEC6_DESIGN)[z]
                 assert np.abs(q - q.T).max() < 1e-14
                 assert np.linalg.eigvalsh(q)[0] > -1e-12
 
@@ -274,7 +277,7 @@ class TestQExtended:
         grid = np.linspace(0.0, 1.0, 41)
         ratios = []
         for n in (51, 201, 801):
-            qs = [q_extended(LIN, float(c), n, TWO_SAT, 1) for c in grid]
+            qs = [q_extended(LIN, float(c), n, TWO_SAT)[1] for c in grid]
             diffs = [
                 np.linalg.norm(qa - qb, 2) / (grid[i + 1] - grid[i])
                 for i, (qa, qb) in enumerate(zip(qs, qs[1:]))
@@ -366,14 +369,52 @@ class TestPseudoInverse:
 class TestQLimit:
     def test_single_saturation_limit_singular(self):
         dsn = SaturationDesign.from_probs((0.5,), (1.0,))
-        q = q_limit(LIN, 0.3, dsn, 0)
+        q = q_limit(LIN, 0.3, dsn)[0]
         assert abs(np.linalg.det(q)) < 1e-15
 
     def test_enumeration_approaches_limit(self):
-        q_inf = q_limit(LIN, 0.5, TWO_SAT, 1)
+        q_inf = q_limit(LIN, 0.5, TWO_SAT)[1]
         gaps = []
         for n in (11, 101, 1001):
             q_n = q_exact(LIN, 0.5, n, TWO_SAT).q1
             gaps.append(np.linalg.norm(q_n - q_inf))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
+
+
+class TestOneEnumerationPerCaller:
+    """Every caller takes Q0 and Q1 from a single ``q_z_at_count`` call."""
+
+    DESIGN = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (6,) * 5)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        enumerate_q = moments.q_z_at_count
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return enumerate_q(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "q_z_at_count", counted)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        cfg = SimConfig(G=30, n=20, design=self.DESIGN, means=(0.5, 0.2, -0.7, 0.8),
+                        kappa=(0.0, 0.0, 1.2, 1.5), sigma=(0.3, 0.3, 0.2, 0.4), seed=4)
+        return simulate_experiment(cfg)
+
+    @pytest.mark.parametrize("pure_control", ["gmm", "drop"])
+    def test_estimate_all(self, calls, data, pure_control):
+        estimate_all(data, LIN, self.DESIGN, pure_control=pure_control)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("target", ["joint", "complier_psi", "never_taker", "population"])
+    def test_build_instruments(self, calls, data, target):
+        build_instruments(data, LIN, self.DESIGN, target)
+        assert len(calls) == 1
+
+    def test_validate_design(self, calls):
+        validate_design(SEC6_DESIGN, quadratic_basis(), n_grid=(11, 101, 1001, 2000))
+        assert len(calls) == 1

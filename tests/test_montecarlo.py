@@ -71,6 +71,11 @@ class TestRunMC:
         with pytest.raises(ValidationError):
             run_mc(small_config(), reps=3, estimators=("ols",))
 
+    @pytest.mark.parametrize("estimators", [(), []])
+    def test_empty_estimators_refused(self, estimators):
+        with pytest.raises(ValidationError, match="^need at least one estimator: 'rs_iv' or 'naive'$"):
+            run_mc(small_config(), reps=2, estimators=estimators, oracle_draws=10**5)
+
     def test_unknown_pure_control(self):
         # rejected even when no estimator that reads the policy runs
         with pytest.raises(ValidationError, match="must be 'gmm' or 'drop', got 'bogus'"):
