@@ -145,14 +145,24 @@ def validate_design(
     flagged as weakly identified: a relative determinant det(Q)/prod(diag Q)
     below ``WEAK_DET_THRESHOLD``.  The cluster randomized case (only corner
     saturations) is flagged as singular: minimum eigenvalue at or below
-    1e-12 at every grid point.
+    1e-12 at every grid point.  ``n_grid`` holds integer group sizes of at
+    least 2 and ``cbar_grid`` shares in [0, 1]; either one empty raises.
     """
     from . import moments  # deferred: moments consumes this module's types
 
-    sizes = np.asarray(n_grid)
+    sizes, shares = np.asarray(n_grid), np.asarray(cbar_grid)
     if sizes.dtype.kind == "f" and np.all(sizes == np.round(sizes)):  # integral floats, e.g. 11.0
         sizes = sizes.astype(np.int64)
-    cbars, sizes = (a.ravel() for a in np.meshgrid(cbar_grid, sizes, indexing="ij"))
+    if sizes.ndim != 1 or not sizes.size or sizes.dtype.kind not in "iu" or sizes.min() < 2:
+        raise ValidationError(
+            f"n_grid must be a nonempty list of integers of at least 2, got {n_grid!r}"
+        )
+    in_unit = shares.dtype.kind in "iuf" and np.all((shares >= 0.0) & (shares <= 1.0))  # not nan
+    if shares.ndim != 1 or not shares.size or not in_unit:
+        raise ValidationError(
+            f"cbar_grid must be a nonempty list of values in [0, 1], got {cbar_grid!r}"
+        )
+    cbars, sizes = (a.ravel() for a in np.meshgrid(shares, sizes, indexing="ij"))
     q = np.concatenate([  # (2, grid + limits, K, K): Q0 and Q1 at every point
         moments.q_extended(basis, cbars, sizes, design),
         np.stack([moments.q_limit(basis, cbar, design) for cbar in cbar_grid], axis=1),

@@ -29,6 +29,7 @@ from .streams import TAG_GROUP, TAG_ORACLE, TAG_SATURATIONS, Seed, substream, su
 
 DEFAULT_SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)
 ORACLE_BLOCK = 2**15  # draws per block of the oracle's stream (256 KB per float array)
+SEARCH_MAX = 1024  # SimConfig.support_index binary-searches up to this many uniforms
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ class SimConfig:
         return tuple(k / self.n for k in self.complier_counts)
 
     @cached_property
-    def _share_moments(self) -> tuple[float, float]:
+    def share_moments(self) -> tuple[float, float]:
+        """Mean and standard deviation of the realized group-share distribution."""
         shares = np.asarray(self.realized_shares)
         probs = np.asarray(self.probs)
         mu = float(probs @ shares)
@@ -95,35 +97,31 @@ class SimConfig:
         return mu, math.sqrt(max(var, 0.0))
 
     @cached_property
-    def _share_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative support probabilities and the complier count of each point."""
-        return np.cumsum(self.probs), np.asarray(self.complier_counts)
+    def key_cbar(self) -> np.ndarray:
+        """Read-only cbar_k = (k_j - c) / (n - 1) of each key k = 2j + c: the true neighbor
+        complier share at support point j (k_j compliers) with own complier flag c."""
+        cbar = ((np.asarray(self.complier_counts)[:, None] - [0.0, 1.0]) / (self.n - 1)).ravel()
+        cbar.flags.writeable = False
+        return cbar
 
+    @cached_property
+    def _support_edges(self) -> np.ndarray:
+        cdf = np.cumsum(self.probs, dtype=float)
+        return cdf[:-1] / cdf[-1]
 
-def share_moments(cfg: SimConfig) -> tuple[float, float]:
-    """Mean and standard deviation of the realized group-share distribution."""
-    return cfg._share_moments
-
-
-def draw_coefficient(
-    mean: float,
-    kappa_j: float,
-    sigma_j: float,
-    cbar_ig: np.ndarray,
-    cbar_moments: tuple[float, float],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw coefficients correlated with the standardized neighbor complier share.
-
-    coef = mean + [ z * kappa/sqrt(kappa^2+1) + u/sqrt(kappa^2+1) ] * sigma
-    with z the standardized share and u ~ N(0,1), so the implied correlation
-    with the standardized share is kappa/sqrt(kappa^2+1).
-    """
-    cbar_ig = np.asarray(cbar_ig, dtype=float)
-    if sigma_j == 0.0:
-        return np.full(cbar_ig.shape, mean, dtype=float)
-    u = rng.standard_normal(cbar_ig.shape)
-    return _coefficient(mean, kappa_j, sigma_j, cbar_ig, cbar_moments, u)
+    def support_index(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, set to the support point of each uniform in u: the number of interior
+        edges of the normalized cdf ``cumsum(p) / cumsum(p)[-1]`` at or below it, which is
+        ``Generator.choice``'s ``searchsorted(cdf, u, side="right")``, so a point of
+        probability 0 is never drawn.  Up to ``SEARCH_MAX`` uniforms take that call;
+        more are counted edge by edge, ~15x faster than its branchy binary search."""
+        if u.size <= SEARCH_MAX:
+            out[...] = np.searchsorted(self._support_edges, u, side="right")
+            return out
+        out.fill(0)
+        for edge in self._support_edges:
+            out += u >= edge
+        return out
 
 
 def _coefficient(
@@ -134,13 +132,13 @@ def _coefficient(
     cbar_moments: tuple[float, float],
     u: np.ndarray,
 ) -> np.ndarray:
-    """``draw_coefficient``'s formula, given its standard normal draws u (sigma_j > 0).
+    """coef = mean + sigma_j * (z * kappa_j / scale + u / scale), correlated
+    kappa_j / scale with the standardized neighbor complier share
+    z = (cbar - mu) / sd, with scale = sqrt(kappa_j^2 + 1) and u ~ N(0, 1).
+    A coefficient with sigma_j = 0 is its mean and draws no u.
 
-    It is evaluated in place, in u and at most one new array, with the
-    operations and order of
-    ``mean + sigma_j * (z * kappa_j / scale + u / scale)`` and
-    ``z = (cbar - mu) / sd``, so the bytes are those of that expression.
-    u is overwritten.
+    It is evaluated in place, in u (overwritten) and at most one new array,
+    with the operations and order of that expression, so it has its bytes.
     """
     scale = math.sqrt(kappa_j**2 + 1.0)
     if kappa_j == 0.0:  # mean + sigma_j * u / scale
@@ -418,20 +416,18 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
         if noisy:
             rng.standard_normal(out=u[r])
 
-    cdf, counts = cfg._share_lookup
-    idx = np.minimum(np.searchsorted(cdf, share_u, side="right"), len(counts) - 1)
-    k = counts[idx][:, None]
+    point = cfg.support_index(share_u, out=np.empty(n_groups, dtype=np.intp))[:, None]
+    k = np.asarray(cfg.complier_counts)[point]
     c = np.zeros((n_groups, n), dtype=np.int8)
     # the first k positions of a group's permutation are its compliers
     c[np.arange(n_groups)[:, None], perm] = np.arange(n) < k
     d = c * z
 
-    cbar = (k - c.astype(float)) / (n - 1)
-    moments = share_moments(cfg)
+    cbar = cfg.key_cbar[2 * point + c]
     coefs = np.full((n_groups, n, 4), cfg.means, dtype=float)
     for i, j in enumerate(noisy):
         coefs[:, :, j] = _coefficient(
-            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, moments, u[:, i]
+            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, cfg.share_moments, u[:, i]
         )
     dbar = (d.sum(axis=1, keepdims=True) - d) / (n - 1)
     y = coefs[..., 0] + coefs[..., 1] * d + coefs[..., 2] * dbar + coefs[..., 3] * d * dbar
@@ -453,24 +449,12 @@ def simulate_experiment(cfg: SimConfig) -> ExperimentData:
     return ExperimentData(_simulate_groups(cfg, range(cfg.G), saturations), check=False)
 
 
-def _count_edges(u: np.ndarray, probs, out: np.ndarray) -> np.ndarray:
-    """``out``, set to the support index of each uniform in u: the number of interior
-    edges of ``cdf = cumsum(p) / cumsum(p)[-1]`` at or below it, which is
-    ``Generator.choice``'s ``searchsorted(cdf, u, side="right")``."""
-    cdf = np.cumsum(probs, dtype=float)
-    cdf /= cdf[-1]
-    out[...] = 0
-    for edge in cdf[:-1]:
-        out += u >= edge
-    return out
-
-
 def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
     """The oracle's draws for i.i.d. individuals, summed per latent state.
 
     An individual's state is its group's support point j and its own complier
-    flag c, keyed k = 2j + c; with k_j the point's complier count it fixes
-    cbar_k = (k_j - c) / (n - 1).  Each coefficient is affine in its normal
+    flag c, keyed k = 2j + c, which fixes its true neighbor complier share
+    (``SimConfig.key_cbar``).  Each coefficient is affine in its normal
     draw, so the N_k draws of key k sum to S_k = N_k * coef(cbar_k, U_k / N_k),
     with U_k the sum of their normals.
 
@@ -493,7 +477,7 @@ def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
     # numpy gathers and bincounts an intp index without a copy, a narrow one after one
     at = np.empty(ORACLE_BLOCK, dtype=np.intp)
     for b in blocks:  # the support index j, turned into the key below
-        _count_edges(rng.random(out=u[: b.stop - b.start]), cfg.probs, out=key[b])
+        cfg.support_index(rng.random(out=u[: b.stop - b.start]), out=key[b])
     n_k = np.zeros(n_keys, dtype=np.int64)
     for b in blocks:  # complier iff u * n < k_j, the point's complier count
         m = b.stop - b.start
@@ -505,8 +489,7 @@ def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
         at[:m] += complier
         key[b] = at[:m]
         n_k += np.bincount(at[:m], minlength=n_keys)
-    cbar = ((counts[:, None] - np.array([0.0, 1.0])) / (cfg.n - 1)).ravel()
-    moments = share_moments(cfg)
+    cbar, moments = cfg.key_cbar, cfg.share_moments
     sums = np.outer(np.asarray(cfg.means, dtype=float), n_k)
     for j, (mean, kappa, sigma) in enumerate(zip(cfg.means, cfg.kappa, cfg.sigma)):
         if sigma == 0.0:

@@ -76,7 +76,6 @@ def _gradients(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-grid-point gradient rows of the effect functional w.r.t. est.coefficients."""
     k = basis.k
-    p = len(est.coefficients)
     fg = basis.values(grid)  # (m, K)
 
     if kind == KIND_DE_TREATED:
@@ -84,11 +83,8 @@ def _gradients(
             raise ValidationError(
                 "DE_treated requires the joint estimate (its complier contrast block)"
             )
-        grad = np.zeros((len(grid), p))
-        grad[:, k:] = fg
-        return grad, grad @ est.coefficients, "complier"
-
-    if kind in _THETA_SOURCES:
+        block, rows, label = slice(k, 2 * k), fg, "complier"
+    elif kind in _THETA_SOURCES:
         if est.target not in _THETA_SOURCES[kind]:
             raise ValidationError(
                 f"{kind} requires one of {_THETA_SOURCES[kind]}, got {est.target!r}"
@@ -96,23 +92,28 @@ def _gradients(
         if np.any(grid + delta > 1.0 + 1e-12):
             raise ValidationError("grid + delta must stay within [0, 1]")
         diff = basis.values(np.minimum(grid + delta, 1.0)) - fg
-        grad = np.zeros((len(grid), p))
-        grad[:, :k] = diff  # joint estimates: theta block leads
-        return grad, grad @ est.coefficients, est.target
-
-    if kind == KIND_PO_LINE:
+        block, rows, label = slice(0, k), diff, est.target  # joint estimates: theta block leads
+    elif kind == KIND_PO_LINE:
         label = _PO_SOURCES.get(est.target)
         if label is None:
             raise UnidentifiedEffectError(
                 f"no potential-outcome line defined for target {est.target!r}"
             )
-        grad = np.zeros((len(grid), p))
-        grad[:, :k] = fg
-        return grad, grad @ est.coefficients, label
+        block, rows = slice(0, k), fg
+    else:
+        raise UnidentifiedEffectError(
+            f"unknown or unidentified effect kind {kind!r}; valid kinds: {KINDS}"
+        )
 
-    raise UnidentifiedEffectError(
-        f"unknown or unidentified effect kind {kind!r}; valid kinds: {KINDS}"
-    )
+    p = 2 * k if est.target == TARGET_JOINT else k
+    if len(est.coefficients) != p:
+        raise ValidationError(
+            f"the {est.target} estimate has {len(est.coefficients)} coefficients, but the "
+            f"{basis.name} basis gives {p}; pass the basis it was fitted with"
+        )
+    grad = np.zeros((len(grid), p))
+    grad[:, block] = rows
+    return grad, grad @ est.coefficients, label
 
 
 def effect_curve(
@@ -126,6 +127,9 @@ def effect_curve(
 
     The variance at each grid point is gradient' vcov gradient with the
     gradient of the linear effect functional in the estimated coefficients.
+    ``basis`` defaults to the linear basis and must be the one the estimate
+    was fitted with: an estimate whose coefficient count does not match it
+    raises ``ValidationError``.
     """
     if basis is None:
         from .model import linear_basis

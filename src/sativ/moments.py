@@ -218,7 +218,7 @@ def q_extended(basis: BasisSpec, cbar, n, design: SaturationDesign) -> np.ndarra
     aligned 1-D integer array.  The leading axis is z.
     """
     cbars = np.atleast_1d(np.asarray(cbar, dtype=float))
-    if np.any((cbars < 0.0) | (cbars > 1.0)):
+    if not np.all((cbars >= 0.0) & (cbars <= 1.0)):  # false for nan
         raise ValidationError("cbar must lie in [0, 1]")
     sizes = _sizes(n, cbars.shape)
     count = (sizes - 1) * cbars

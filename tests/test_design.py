@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,27 @@ class TestValidateDesign:
         assert validate_design(dsn, linear_basis(), n_grid=np.array([11.0, 101.0])) == ints
         with pytest.raises(ValidationError):
             validate_design(dsn, linear_basis(), n_grid=(11.5, 101.0))
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            dict(n_grid=()),
+            dict(cbar_grid=()),
+            dict(n_grid=(11.5,)),
+            dict(n_grid=("11",)),
+            dict(cbar_grid=(float("nan"),)),
+        ],
+        ids=["empty-n", "empty-cbar", "fractional-n", "string-n", "nan-cbar"],
+    )
+    def test_bad_grid_is_named(self, grids):
+        # the message names the grid the caller passed, and no numpy warning
+        # comes first
+        dsn = SaturationDesign.from_probs((0.25, 0.75), (0.5, 0.5))
+        (name, value), = grids.items()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{name} must be a nonempty list of "):
+                validate_design(dsn, linear_basis(), **grids)
 
     def test_large_n_grid_peak(self):
         """Sizes above 1024 take one pmf row per (count, n) pair.  This grid

@@ -11,15 +11,14 @@ from sativ import design as design_mod
 from sativ.design import SaturationDesign
 from sativ.dgp import (
     ORACLE_BLOCK,
+    SEARCH_MAX,
     ExperimentData,
     GroupData,
     SimConfig,
-    _count_edges,
+    _coefficient,
     _oracle_sums,
-    draw_coefficient,
     oracle_naive_iv_estimands,
     oracle_subpopulation_means,
-    share_moments,
     simulate_experiment,
     simulate_group,
 )
@@ -67,21 +66,28 @@ class TestSimConfig:
         # 116 * 0.1 = 11.6 is not realizable; counts snap to nearest integer
         assert SEC6.complier_counts == (12, 23, 35, 46, 58)
         assert SEC6.realized_shares == tuple(k / 116 for k in (12, 23, 35, 46, 58))
-        mu, sd = share_moments(SEC6)
+        mu, sd = SEC6.share_moments
         assert mu == pytest.approx(0.3, abs=1e-12)
         assert sd == pytest.approx(math.sqrt(7378 / (5 * 116**2) - 0.09), abs=1e-12)
+
+    def test_key_cbar(self):
+        # key 2j + c holds (k_j - c) / (n - 1), and the cached array is read-only
+        expect = [(k - c) / 115 for k in (12, 23, 35, 46, 58) for c in (0, 1)]
+        assert SEC6.key_cbar.tolist() == expect
+        with pytest.raises(ValueError):
+            SEC6.key_cbar[0] = 0.0
 
 
 class TestDrawCoefficient:
     def test_zero_sigma_is_exact(self):
-        rng = substream(1)
-        out = draw_coefficient(0.5, 1.2, 0.0, np.linspace(0, 1, 11), (0.3, 0.14), rng)
+        u = substream(1).standard_normal(11)
+        out = _coefficient(0.5, 1.2, 0.0, np.linspace(0, 1, 11), (0.3, 0.14), u)
         assert np.all(out == 0.5)
 
     def test_zero_kappa_is_iid_normal(self):
         rng = substream(2)
         cbar = substream(3).random(10**5)
-        out = draw_coefficient(0.5, 0.0, 0.3, cbar, (0.5, 0.2), rng)
+        out = _coefficient(0.5, 0.0, 0.3, cbar, (0.5, 0.2), rng.standard_normal(10**5))
         assert out.mean() == pytest.approx(0.5, abs=0.005)
         assert out.var() == pytest.approx(0.09, rel=0.03)
         assert abs(np.corrcoef(out, cbar)[0, 1]) < 0.01
@@ -95,14 +101,15 @@ class TestDrawCoefficient:
         k = counts[idx]
         c = (rng.random(n_draws) * SEC6.n < k).astype(float)
         cbar = (k - c) / (SEC6.n - 1)
-        out = draw_coefficient(-0.7, 1.2, 0.2, cbar, share_moments(SEC6), rng)
+        u = rng.standard_normal(n_draws)
+        out = _coefficient(-0.7, 1.2, 0.2, cbar, SEC6.share_moments, u)
         target = 1.2 / math.sqrt(1.2**2 + 1)
         assert np.corrcoef(out, cbar)[0, 1] == pytest.approx(target, abs=0.005)
 
     def test_degenerate_share_distribution_rejected(self):
-        rng = substream(5)
         with pytest.raises(ValidationError):
-            draw_coefficient(0.5, 1.2, 0.3, np.array([0.5]), (0.5, 0.0), rng)
+            u = substream(5).standard_normal(1)
+            _coefficient(0.5, 1.2, 0.3, np.array([0.5]), (0.5, 0.0), u)
 
 
 class TestSimulateExperiment:
@@ -178,7 +185,9 @@ NOISE = (0.3, 0.3, 0.2, 0.4)
 
 def _reference_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupData:
     """One group simulated on its own, one numpy call per coefficient: the
-    simulator as it was before its per-group work was batched."""
+    simulator as it was before its per-group work was batched, with its own
+    support law (a clamped search of the unnormalized cdf, which equals the
+    normalized one whenever the probabilities sum to exactly 1)."""
     rng = substream(cfg.seed, TAG_GROUP, group_id)
     n = cfg.n
     idx = int(np.searchsorted(np.cumsum(cfg.probs), rng.random(), side="right"))
@@ -190,8 +199,12 @@ def _reference_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupD
     cbar = (k - c.astype(float)) / (n - 1)
     coefs = np.empty((n, 4))
     for j in range(4):
-        coefs[:, j] = draw_coefficient(
-            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, share_moments(cfg), rng
+        if cfg.sigma[j] == 0.0:  # a noiseless coefficient draws nothing
+            coefs[:, j] = cfg.means[j]
+            continue
+        coefs[:, j] = _coefficient(
+            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, cfg.share_moments,
+            rng.standard_normal(n),
         )
     dbar = (d.sum() - d) / (n - 1)
     y = coefs[:, 0] + coefs[:, 1] * d + coefs[:, 2] * dbar + coefs[:, 3] * d * dbar
@@ -208,7 +221,7 @@ def _reference_oracle_draws(cfg: SimConfig, n_draws: int, seed: int):
     k = counts[point]
     c = (rng.random(n_draws) * cfg.n < k).astype(float)
     cbar = (k - c) / (cfg.n - 1)
-    mu, sd = share_moments(cfg)
+    mu, sd = cfg.share_moments
     coefs = np.empty((4, n_draws))
     for j, (mean, kappa, sigma) in enumerate(zip(cfg.means, cfg.kappa, cfg.sigma)):
         if sigma == 0.0:
@@ -336,6 +349,13 @@ class TestBatchedStreams:
         assert digest(ExperimentData(alone)) == digest(data) == digest(ExperimentData(ref))
 
 
+def support_config(probs) -> SimConfig:
+    """A config whose support law has the probabilities ``probs``."""
+    return homogeneous_config(
+        complier_shares=tuple(np.linspace(0.0, 1.0, len(probs))), share_probs=probs
+    )
+
+
 class TestSupportIndices:
     @pytest.mark.parametrize(
         "probs",
@@ -348,13 +368,37 @@ class TestSupportIndices:
         ],
     )
     def test_equals_generator_choice(self, probs):
+        cfg = support_config(probs)
         rng, ref = substream(5, TAG_ORACLE), substream(5, TAG_ORACLE)
-        got = _count_edges(rng.random(10**5), probs, out=np.empty(10**5, dtype=np.int64))
+        got = cfg.support_index(rng.random(10**5), out=np.empty(10**5, dtype=np.int64))
         expect = ref.choice(len(probs), size=10**5, p=np.asarray(probs))
         assert got.dtype == expect.dtype
         assert np.array_equal(got, expect)
         assert rng.random() == ref.random()  # the same draws were consumed
         assert not np.isin(np.flatnonzero(np.asarray(probs) == 0.0), got).any()
+
+    @pytest.mark.parametrize("size", [1, 235, SEARCH_MAX, SEARCH_MAX + 1])
+    def test_few_uniforms_equal_many(self, size):
+        # up to SEARCH_MAX uniforms take searchsorted, more the edge count
+        for probs in ((0.2,) * 5, (0.1, 0.0, 0.5, 0.4), (0.0, 0.3, 0.7, 0.0), (1.0,)):
+            cfg = support_config(probs)
+            u = substream(6).random(size)
+            cdf = np.cumsum(probs)
+            edges = cdf[:-1] / cdf[-1]
+            u[: len(edges)] = edges[:size]  # a uniform on an edge counts it
+            got = cfg.support_index(u, out=np.empty(size, dtype=np.intp))
+            copies = 2 * SEARCH_MAX  # more than SEARCH_MAX uniforms even at size 1
+            many = cfg.support_index(np.tile(u, copies), np.empty(copies * size, dtype=np.intp))
+            assert np.array_equal(np.tile(got, copies), many)
+
+    def test_short_probabilities_never_reach_a_zero_point(self):
+        # the config accepts probabilities that sum to 1 - 5e-13; the mass
+        # above their sum goes to the last point of positive probability, as
+        # Generator.choice's normalized cdf gives it, not to the empty point 2
+        cfg = support_config((0.5, 0.5 - 5e-13, 0.0))
+        u = np.array([0.0, 0.25, 0.5, 0.75, 1 - 5e-13, 1 - 2.5e-13, np.nextafter(1.0, 0.0)])
+        got = cfg.support_index(u, out=np.empty(len(u), dtype=np.intp))
+        assert got.tolist() == [0, 0, 0, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("share_probs", [(0.2, 0.5, 0.3), (0.6, 0.0, 0.4)])
     def test_oracle_draws_equal_choice_reference(self, share_probs):
@@ -400,7 +444,7 @@ class TestOracle:
         means = oracle_subpopulation_means(SEC6, n_draws=10**6, seed=2)
         shares = np.asarray(SEC6.realized_shares)
         e1, e2 = shares.mean(), (shares**2).mean()
-        mu, sd = share_moments(SEC6)
+        mu, sd = SEC6.share_moments
         cbar_c = (SEC6.n * (e2 / e1) - 1) / (SEC6.n - 1)
         gamma_c = -0.7 + 0.2 * (1.2 / math.sqrt(1.2**2 + 1)) * (cbar_c - mu) / sd
         assert means["complier"].theta_mean[1] == pytest.approx(gamma_c, abs=0.002)
@@ -531,7 +575,7 @@ class TestOracle:
     def test_naive_estimands_match_covariance_formula(self):
         # gamma_IV = gamma + Cov(Cbar, gamma) / E[Cbar]
         est = oracle_naive_iv_estimands(SEC6, n_draws=10**6, seed=5)
-        _, sd = share_moments(SEC6)
+        _, sd = SEC6.share_moments
         counts = np.asarray(SEC6.complier_counts)
         p = np.asarray(SEC6.probs)
         n = SEC6.n

@@ -19,6 +19,7 @@ from sativ.estimator import (
     TARGET_POPULATION,
     EstimateResult,
 )
+from sativ.model import quadratic_basis
 
 
 def make_result(target, coefs, vcov=None):
@@ -143,3 +144,26 @@ class TestValidation:
     def test_grid_range(self):
         with pytest.raises(ValidationError):
             effect_curve(JOINT, KIND_DE_TREATED, grid=np.array([-0.1]))
+
+    @pytest.mark.parametrize(
+        "kind, target, expect",
+        [
+            # theta = (1, 2, 3): f(x + 0.1) - f(x) and f(x) with f(x) = (1, x, x^2)
+            (KIND_IE0_POPULATION, TARGET_POPULATION, [0.35, 0.53]),
+            (KIND_PO_LINE, TARGET_POPULATION, [1.52, 2.75]),
+            (KIND_DE_TREATED, TARGET_JOINT, [1.52, 2.75]),
+        ],
+    )
+    def test_basis_must_match_coefficients(self, kind, target, expect):
+        # a quadratic-basis estimate read with the default linear basis
+        coefs = [1.0, 2.0, 3.0] if target != TARGET_JOINT else [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+        est = make_result(target, coefs)
+        grid = np.array([0.2, 0.5])
+        linear = 4 if target == TARGET_JOINT else 2
+        with pytest.raises(
+            ValidationError,
+            match=f"has {len(coefs)} coefficients, but the linear basis gives {linear}",
+        ):
+            effect_curve(est, kind, grid=grid)
+        curve = effect_curve(est, kind, grid=grid, basis=quadratic_basis())
+        np.testing.assert_allclose(curve.point, expect, rtol=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,14 @@ class TestQExtended:
         qb = q_z_at_count(LIN, 5, n, TWO_SAT)[1]
         q = q_extended(LIN, 4.25 / (n - 1), n, TWO_SAT)[1]
         assert np.allclose(q, 0.75 * qa + 0.25 * qb, atol=1e-15)
+
+    @pytest.mark.parametrize("cbar", [float("nan"), np.array([0.3, float("nan")]), -0.1, 1.5])
+    def test_cbar_outside_unit_interval(self, cbar):
+        # nan is refused by the range check, not by a later size check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^cbar must lie in \[0, 1\]$"):
+                q_extended(LIN, cbar, 11, TWO_SAT)
 
     def test_psd_everywhere(self):
         rng = substream(9)
