@@ -131,33 +131,35 @@ def _coefficient(
     cbar: np.ndarray,
     cbar_moments: tuple[float, float],
     u: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """coef = mean + sigma_j * (z * kappa_j / scale + u / scale), correlated
     kappa_j / scale with the standardized neighbor complier share
     z = (cbar - mu) / sd, with scale = sqrt(kappa_j^2 + 1) and u ~ N(0, 1).
     A coefficient with sigma_j = 0 is its mean and draws no u.
 
-    It is evaluated in place, in u (overwritten) and at most one new array,
-    with the operations and order of that expression, so it has its bytes.
+    It is evaluated in ``out`` (a new array by default), with u overwritten
+    as scratch, by the operations and order of that expression, so it has
+    its bytes.
     """
     scale = math.sqrt(kappa_j**2 + 1.0)
     if kappa_j == 0.0:  # mean + sigma_j * u / scale
-        u *= sigma_j
-        u /= scale
-        u += mean
-        return u
+        out = np.multiply(u, sigma_j, out=out)
+        out /= scale
+        out += mean
+        return out
     mu, sd = cbar_moments
     if sd <= 0.0:
         raise ValidationError("share distribution is degenerate but kappa is nonzero")
-    coef = cbar - mu
-    coef /= sd
-    coef *= kappa_j
-    coef /= scale
+    out = np.subtract(cbar, mu, out=out)
+    out /= sd
+    out *= kappa_j
+    out /= scale
     u /= scale
-    coef += u
-    coef *= sigma_j
-    coef += mean
-    return coef
+    out += u
+    out *= sigma_j
+    out += mean
+    return out
 
 
 @dataclass
@@ -170,7 +172,9 @@ class GroupData:
     d: np.ndarray
     y: np.ndarray
     complier: np.ndarray | None = None
-    coefs: np.ndarray | None = None  # (n, 4): alpha, beta, gamma, delta
+    # (n, 4): alpha, beta, gamma, delta; from the simulator a view of a
+    # (groups, 4, n) array, so not C-contiguous
+    coefs: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -259,9 +263,25 @@ def _loo_take_up(taken: np.ndarray, offered: np.ndarray) -> np.ndarray:
 
 
 def _canonical_order(key: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.lexsort((y, key))``'s permutation from two stable sorts: by y, then by the
-    key in its narrowest unsigned type, which numpy radix-sorts while it fits 16 bits."""
-    by_y = np.argsort(y, kind="stable")
+    """``np.lexsort((y, key))``'s permutation, index for index.
+
+    y is argsorted with numpy's default (unstable) kind, and each run of equal
+    y (-0.0 beside 0.0, and consecutive nans, count as equal) is put back in
+    data order by one int64 sort of ``run * N + index`` over the rows in runs.
+    That is the stable sort by y, without a timsort of float64.  A stable
+    sort by the key in its narrowest unsigned type, which numpy radix-sorts
+    while it fits 16 bits, finishes the order.
+    """
+    by_y = np.argsort(y)
+    sorted_y = y[by_y]
+    tie = sorted_y[1:] == sorted_y[:-1]  # row i ties row i + 1 in sorted order
+    tie[np.searchsorted(sorted_y, np.nan):] = True  # the nans, which sort last
+    if tie.any():
+        run = np.cumsum(np.concatenate([[True], ~tie]))
+        at = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
+        tagged = run[at] * len(y) + by_y[at]
+        tagged.sort()
+        by_y[at] = tagged % len(y)
     narrow = key.astype(np.min_scalar_type(key.max()))[by_y]
     return by_y[np.argsort(narrow, kind="stable")]
 
@@ -396,23 +416,31 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
     """Simulate groups of size cfg.n, each from its own (cfg.seed, group id) stream.
 
     Per group the stream gives, in this order: the share draw, the complier
-    positions, the offers and one normal draw per member for each
-    coefficient with sigma > 0.  Only the draws are made group by group;
-    everything computed from them is done once for all groups, and each
-    group holds row views of the shared (groups, n) arrays.
+    positions (``permutation(n)``'s draws: a shuffle of 0..n-1), the offers
+    (``design.assign_offers``' draws) and one normal draw per member for
+    each coefficient with sigma > 0.  Only the draws are made group by
+    group, into rows of arrays made once; everything computed from them is
+    done once for all groups, and each group holds views of the shared
+    (groups, n) arrays and of the (groups, 4, n) coefficients.
     """
     n = cfg.n
     noisy = [j for j in range(4) if cfg.sigma[j] != 0.0]
     n_groups = len(group_ids)
+    sats = np.asarray(saturations, dtype=float)
+    if not np.all((sats >= 0.0) & (sats <= 1.0)):  # false for nan
+        raise ValidationError("saturation outside [0, 1]")
     share_u = np.empty(n_groups)
-    perm = np.empty((n_groups, n), dtype=np.intp)
+    perm = np.tile(np.arange(n), (n_groups, 1))
     z = np.empty((n_groups, n), dtype=np.int8)
+    z[...] = (sats == 1.0)[:, None]  # s = 0 and s = 1 draw no offers
+    offer_u = np.empty(n)
     u = np.empty((n_groups, len(noisy), n))
     streams = substreams(cfg.seed, TAG_GROUP, ids=group_ids)
-    for r, (rng, s) in enumerate(zip(streams, saturations)):
+    for r, (rng, s) in enumerate(zip(streams, sats)):
         share_u[r] = rng.random()
-        perm[r] = rng.permutation(n)
-        z[r] = design_mod.assign_offers(n, s, rng)
+        rng.shuffle(perm[r])
+        if 0.0 < s < 1.0:
+            np.less(rng.random(out=offer_u), s, out=z[r])
         if noisy:
             rng.standard_normal(out=u[r])
 
@@ -424,16 +452,21 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
     d = c * z
 
     cbar = cfg.key_cbar[2 * point + c]
-    coefs = np.full((n_groups, n, 4), cfg.means, dtype=float)
+    coefs = np.empty((n_groups, 4, n))
+    for j, mean in enumerate(cfg.means):
+        if j not in noisy:
+            coefs[:, j] = mean
     for i, j in enumerate(noisy):
-        coefs[:, :, j] = _coefficient(
-            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, cfg.share_moments, u[:, i]
+        _coefficient(
+            cfg.means[j], cfg.kappa[j], cfg.sigma[j], cbar, cfg.share_moments, u[:, i],
+            out=coefs[:, j],
         )
     dbar = (d.sum(axis=1, keepdims=True) - d) / (n - 1)
-    y = coefs[..., 0] + coefs[..., 1] * d + coefs[..., 2] * dbar + coefs[..., 3] * d * dbar
+    alpha, beta, gamma, delta = coefs.transpose(1, 0, 2)
+    y = alpha + beta * d + gamma * dbar + delta * d * dbar
     return [
-        GroupData(gid, float(s), z[r], d[r], y[r], complier=c[r], coefs=coefs[r])
-        for r, (gid, s) in enumerate(zip(group_ids, saturations))
+        GroupData(gid, float(s), z[r], d[r], y[r], complier=c[r], coefs=coefs[r].T)
+        for r, (gid, s) in enumerate(zip(group_ids, sats))
     ]
 
 

@@ -138,7 +138,7 @@ def effect_curve(
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
-    if np.any((grid < 0) | (grid > 1)):
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):  # false for nan
         raise ValidationError("grid values must lie in [0, 1]")
     if not 0.0 < delta < np.inf:  # false for nan
         raise ValidationError(f"delta must be a finite positive increment, got {delta!r}")

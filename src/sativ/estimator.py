@@ -11,6 +11,8 @@ solving the over-identified system by two-stage least squares.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +156,99 @@ def _target_arrays(
     return x, w
 
 
+# The ``_KeyTable``s shared by the plans built inside ``_study_tables()`` (one
+# Monte Carlo study, or one of its pool workers), keyed by (id(basis), design).
+# A context variable, so that studies in other threads keep their own.
+_STUDY_TABLES: ContextVar[dict[tuple[int, SaturationDesign], "_KeyTable"] | None] = ContextVar(
+    "sativ_study_tables", default=None
+)
+
+
+@contextmanager
+def _study_tables():
+    """Let the plans built inside share one ``_KeyTable`` per basis and design."""
+    token = _STUDY_TABLES.set({})
+    try:
+        yield
+    finally:
+        _STUDY_TABLES.reset(token)
+
+
+class _KeyTable:
+    """Per (cbar, n) key, for one basis and the design the plans use: Q0/Q1 and,
+    for each R family ("q" the stacked Q, "q0", "q1") a plan has asked for, R^+,
+    the flag that an eigenvalue was cut and |det R|, each in a column
+    ``cols[name]``.
+
+    A key's Q0/Q1 are built once, in one ``q_extended`` call over the keys a
+    plan misses, and each family in one ``pseudo_inverse_stack`` over the keys
+    not yet inverted.  Those calls give a key the same numbers whatever keys
+    share its batch, so a plan reading a shared table gets the bytes of a
+    table of its own.  The first batch becomes the columns; later ones are
+    appended, the columns growing by doubling.
+    """
+
+    def __init__(self, basis: BasisSpec, design: SaturationDesign):
+        self.basis, self.design = basis, design  # the basis kept alive: its id keys the table
+        self.row: dict[complex, int] = {}
+        self.cols: dict[str, np.ndarray] = {}
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each key cbar + 1j * n, with the missing keys' Q0/Q1 built."""
+        rows = np.array([self.row.get(key, -1) for key in keys.tolist()], dtype=np.intp)
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            new = keys[missing]
+            q0, q1 = moments.q_extended(self.basis, new.real, new.imag.astype(np.int64), self.design)
+            size = len(self.row)
+            rows[missing] = at = np.arange(size, size + len(new))
+            self._append(size, {"q0": q0, "q1": q1})
+            self.row.update(zip(new.tolist(), at.tolist()))
+        return rows
+
+    def _append(self, size: int, built: dict[str, np.ndarray]) -> None:
+        if not self.cols:
+            self.cols = built
+            return
+        end = size + len(built["q0"])
+        if end > len(self.cols["q0"]):
+            capacity = max(end, 2 * len(self.cols["q0"]))
+            for name, col in self.cols.items():
+                grown = np.zeros((capacity,) + col.shape[1:], dtype=col.dtype)
+                grown[:size] = col[:size]
+                self.cols[name] = grown
+        for name, col in self.cols.items():  # a family's new rows are not inverted yet
+            col[size:end] = built.get(name, 0)
+
+    def family(self, name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The R^+, cut flag and |det R| columns, with ``rows`` not yet inverted inverted now."""
+        cols = self.cols
+        if f"{name}_done" not in cols:
+            m, k = cols["q0"].shape[:2]
+            p = 2 * k if name == "q" else k
+            cols[f"{name}_pinv"] = np.zeros((m, p, p))
+            cols[f"{name}_cut"] = np.zeros(m, dtype=bool)
+            cols[f"{name}_det"] = np.zeros(m)
+            cols[f"{name}_done"] = np.zeros(m, dtype=bool)
+        todo = rows[~cols[f"{name}_done"][rows]]
+        if len(todo):
+            q0, q1 = cols["q0"][todo], cols["q1"][todo]
+            r = moments.assemble_q(q0, q1) if name == "q" else {"q0": q0, "q1": q1}[name]
+            cols[f"{name}_pinv"][todo], cols[f"{name}_cut"][todo] = moments.pseudo_inverse_stack(r)
+            cols[f"{name}_det"][todo] = np.abs(np.linalg.det(r))
+            cols[f"{name}_done"][todo] = True
+        return cols[f"{name}_pinv"], cols[f"{name}_cut"], cols[f"{name}_det"]
+
+
 class _InstrumentPlan:
     """Zhat = R(cbar, n)^+ W for every RS target of one dataset.
 
     R depends on a cell only through its key (cbar, n), so Q0/Q1 are built
-    once per key (one ``q_extended`` call over every size) and each R
-    family (Q0, Q1, stacked Q) gets one batched pseudo-inverse shared by all
-    targets.  The plan covers the cells of ``mask``: with a 0% saturation in
-    the design, the groups with S > 0, and the moments condition on S > 0.
+    once per key and each R family (Q0, Q1, stacked Q) gets one batched
+    pseudo-inverse shared by all targets, both read from a ``_KeyTable``: the
+    study's, inside ``_study_tables()``, else one built for this plan alone.
+    The plan covers the cells of ``mask``: with a 0% saturation in the
+    design, the groups with S > 0, and the moments condition on S > 0.
     """
 
     def __init__(self, cells: Cells, basis: BasisSpec, design: SaturationDesign, chat_policy: str):
@@ -182,24 +269,30 @@ class _InstrumentPlan:
         )
         keys, self.key_of_cell = np.unique(cbar + 1j * n, return_inverse=True)  # by cbar, then n
         self.n_keys = len(keys)
-        self.q0, self.q1 = moments.q_extended(basis, keys.real, keys.imag.astype(np.int64), design)
+        tables = _STUDY_TABLES.get()
+        if tables is None:  # outside a study every plan starts empty
+            tables = {}
+        if (id(basis), design) not in tables:
+            tables[id(basis), design] = _KeyTable(basis, design)
+        self.table = tables[id(basis), design]
+        self.rows = self.table.rows(keys)
+        self.cell_row = self.rows[self.key_of_cell]  # the table row of each cell
+        self.q0, self.q1 = (self.table.cols[name][self.rows] for name in ("q0", "q1"))
         self._families: dict[str, tuple[np.ndarray, int, float]] = {}
 
     def _family(self, target: str) -> tuple[np.ndarray, int, float]:
-        """Per-key R^+, rows pseudo-inverted and min |det R| for the target's R."""
+        """The table's R^+ column, rows pseudo-inverted and min |det R| for the target's R."""
         name = {TARGET_JOINT: "q", TARGET_POPULATION: "q0"}.get(target, "q1")
         if name not in self._families:
-            r = moments.assemble_q(self.q0, self.q1) if name == "q" else getattr(self, name)
-            pinv, deficient = moments.pseudo_inverse_stack(r)
-            dets = np.abs(np.linalg.det(r))
-            n_rows = int(self.count[deficient[self.key_of_cell]].sum())
-            self._families[name] = (pinv, n_rows, float(dets.min()))
+            pinv, deficient, dets = self.table.family(name, self.rows)
+            n_rows = int(self.count[deficient[self.cell_row]].sum())
+            self._families[name] = (pinv, n_rows, float(dets[self.rows].min()))
         return self._families[name]
 
     def zhat(self, target: str, w: np.ndarray) -> np.ndarray:
         """Zhat for the cells of the mask, given W on those cells only."""
         pinv = self._family(target)[0]
-        return np.einsum("nij,nj->ni", pinv[self.key_of_cell], w)
+        return np.einsum("nij,nj->ni", pinv[self.cell_row], w)
 
     def diagnostics(self, target: str, pure_control: str | None) -> EstimatorDiagnostics:
         _, n_pseudo, min_det = self._family(target)

@@ -113,6 +113,12 @@ def ingest_csv(path) -> ExperimentData:
     # a bad header, no data row, or a blank data line ("\n\n", as the header
     # holds no newline), which np.loadtxt would skip
     faulty = tuple(header) != CSV_HEADER or not 0 <= end < len(text) - 1 or "\n\n" in text
+    # At most one data row per newline, the header's counting for a last line
+    # without one.  Given that bound numpy allocates its parse buffer once;
+    # grown in place at the top of the heap, the freed buffer would leave an
+    # untrimmable hole under the data, and the fits' peak memory would depend
+    # on where the allocator happened to put it.
+    max_rows = text.count("\n")
     del text  # numpy parses the rows from the file, a line at a time
     if faulty:
         _reject_rows(path)
@@ -122,7 +128,8 @@ def ingest_csv(path) -> ExperimentData:
             warnings.simplefilter("error", DeprecationWarning)
             fh.readline()  # the header
             rec = np.loadtxt(
-                fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1
+                fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                max_rows=max_rows,
             )
     except (ValueError, DeprecationWarning):
         _reject_rows(path)

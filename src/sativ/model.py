@@ -33,7 +33,9 @@ class BasisSpec:
     Parameters
     ----------
     name : str
-        Tag used in configs and cache keys ("linear", "quadratic", ...).
+        Tag used in configs and messages ("linear", "quadratic", ...).  It is
+        no cache key: a user basis may reuse a built-in name with other
+        functions, so caches key on the basis object itself.
     funcs : tuple of callables
         Each maps a float array in [0, 1] to a float array.
     """
@@ -62,23 +64,24 @@ class BasisSpec:
     def values(self, x) -> np.ndarray:
         """Evaluate f at x: returns shape (K,) for scalar x, (len(x), K) for arrays."""
         arr = np.asarray(x, dtype=float)
-        if np.any((arr < 0.0) | (arr > 1.0)):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # false for nan
             raise ValidationError("basis argument outside [0, 1]")
         out = np.stack([np.broadcast_to(f(arr), arr.shape) for f in self.funcs], axis=-1)
         return out
 
 
+_LINEAR = BasisSpec("linear", (lambda x: np.ones_like(x), lambda x: x))
+_QUADRATIC = BasisSpec("quadratic", (lambda x: np.ones_like(x), lambda x: x, lambda x: x * x))
+
+
 def linear_basis() -> BasisSpec:
-    """f(x) = (1, x)."""
-    return BasisSpec("linear", (lambda x: np.ones_like(x), lambda x: x))
+    """f(x) = (1, x); every call returns the same frozen instance."""
+    return _LINEAR
 
 
 def quadratic_basis() -> BasisSpec:
-    """f(x) = (1, x, x^2)."""
-    return BasisSpec(
-        "quadratic",
-        (lambda x: np.ones_like(x), lambda x: x, lambda x: x * x),
-    )
+    """f(x) = (1, x, x^2); every call returns the same frozen instance."""
+    return _QUADRATIC
 
 
 _BUILTIN_BASES = {"linear": linear_basis, "quadratic": quadratic_basis}

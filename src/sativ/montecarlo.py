@@ -148,6 +148,11 @@ def replicate_once(
     return out
 
 
+def _start_worker_tables() -> None:
+    """A pool worker's replications share one table, dropped with the worker."""
+    estimator._STUDY_TABLES.set({})
+
+
 def _worker(args) -> dict[str, tuple[float, float]] | SingularReplication:
     cfg, rep, estimators, pure_control = args
     return replicate_once(cfg, rep, estimators, pure_control)
@@ -176,11 +181,13 @@ def run_mc(
     truths = oracle_truths(cfg, estimators, oracle_draws)
 
     tasks = [(cfg, r, tuple(estimators), pure_control) for r in range(reps)]
+    # the replications share one table of per-key R^+ per process (estimator._KeyTable)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker_tables) as pool:
             results = list(pool.map(_worker, tasks, chunksize=max(1, reps // (4 * jobs))))
     else:
-        results = [_worker(t) for t in tasks]
+        with estimator._study_tables():
+            results = [_worker(t) for t in tasks]
 
     singular = [r for r in results if isinstance(r, SingularReplication)]
     results = [None if isinstance(r, SingularReplication) else r for r in results]

@@ -145,6 +145,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             effect_curve(JOINT, KIND_DE_TREATED, grid=np.array([-0.1]))
 
+    def test_nan_grid_point_rejected(self):
+        # a range check of the form (grid < 0) | (grid > 1) is false for nan
+        with pytest.raises(ValidationError, match="grid values must lie in"):
+            effect_curve(JOINT, KIND_DE_TREATED, grid=np.array([0.2, np.nan]))
+
     @pytest.mark.parametrize(
         "kind, target, expect",
         [

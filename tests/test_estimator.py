@@ -668,6 +668,28 @@ class TestRowOrderYTies:
         assert data.cells.y.tobytes() == data.y[self._lexsort(data)].tobytes()
 
 
+class TestRowOrderDirect:
+    """``_canonical_order`` is ``np.lexsort((y, key))`` index for index on the
+    outcomes that tie most: binary y, y rounded to 0.1 (which holds -0.0 and
+    0.0) and y with nans."""
+
+    @pytest.mark.parametrize("case", ["binary", "rounded", "nan"])
+    @pytest.mark.parametrize("N", [2, 37, 5000])
+    def test_equals_lexsort(self, case, N):
+        rng = np.random.default_rng(N)
+        key = rng.integers(0, 40, N)
+        y = rng.normal(size=N)
+        if case == "binary":
+            y = (y > 0.3).astype(float)
+        elif case == "rounded":
+            y = np.round(y, 1)  # rounds some y to -0.0, some to 0.0
+            y[:2] = (-0.0, 0.0)
+        else:
+            y[rng.random(N) < 0.2] = np.nan
+            y[:2] = np.nan  # adjacent nans in data order
+        assert np.array_equal(_canonical_order(key, y), np.lexsort((y, key)))
+
+
 class TestValidationErrors:
     def test_two_cluster_minimum(self):
         g = GroupData(0, 0.5, np.array([1, 0, 1]), np.array([1, 0, 0]), np.ones(3))
@@ -940,6 +962,16 @@ class TestIngestCsv(object):
         data = ingest_csv(self._write(tmp_path, text))
         assert data.groups[0].y.tolist() == [0.1, 0.3]
         assert data.groups[0].z.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("last", [True, False], ids=["final-newline", "no-final-newline"])
+    def test_every_row_read_whatever_the_line_ends(self, tmp_path, end, last):
+        # the parser is told the newline count as its row bound: it must never cut a row
+        rows = [f"{g},0.5,{z},0,{0.1 * g + z}" for g in range(40) for z in (0, 1)]
+        text = end.join(["group_id,saturation,z,d,y"] + rows) + (end if last else "")
+        data = ingest_csv(self._write(tmp_path, text))
+        assert data.n_individuals == 80 and data.n_groups == 40
+        assert data.groups[-1].y.tolist() == [3.9000000000000004, 4.9]
 
     @settings(max_examples=200, deadline=None)
     @given(body=_mutated_csv())

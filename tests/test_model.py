@@ -69,6 +69,11 @@ class TestBasisSpec:
         with pytest.raises(ValidationError):
             LIN.values(1.5)
 
+    @pytest.mark.parametrize("x", [np.nan, np.array([0.2, np.nan])])
+    def test_nan_argument_rejected(self, x):
+        with pytest.raises(ValidationError, match="outside"):
+            LIN.values(x)
+
 
 class TestPotentialOutcome:
     def test_untreated_intercept(self):

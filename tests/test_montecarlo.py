@@ -1,11 +1,15 @@
+import contextlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from sativ import estimator, moments
 from sativ.design import SaturationDesign
-from sativ.dgp import SimConfig
+from sativ.dgp import SimConfig, simulate_experiment
 from sativ.errors import ValidationError
-from sativ.estimator import COND_LIMIT
+from sativ.estimator import COND_LIMIT, estimate_all
+from sativ.model import BasisSpec, linear_basis, quadratic_basis
 from sativ.montecarlo import (
     NAIVE_ROWS,
     RS_ROWS,
@@ -124,6 +128,107 @@ class TestDeterminism:
         report = run_mc(small_config(), reps=2, estimators=("naive",), oracle_draws=10**5)
         assert "runtime" not in report_to_json(report)
         assert report.runtime_seconds > 0.0
+
+
+SEC6 = SimConfig(
+    G=235, n=116, design=SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (47,) * 5),
+    means=(0.5, 0.2, -0.7, 0.8), kappa=(0.0, 0.0, 1.2, 1.5), sigma=(0.3, 0.3, 0.2, 0.4), seed=7,
+)
+
+
+def _estimate_bytes(results) -> dict:
+    return {
+        k: (v.coefficients.tobytes(), v.vcov.tobytes(), repr(v.diagnostics))
+        for k, v in results.items()
+    }
+
+
+class TestStudyTable:
+    """A study's replications share one table of per-key Q and R^+
+    (``estimator._KeyTable``); every number must be what each replication
+    gives with a table of its own."""
+
+    @pytest.mark.parametrize("pure_control", ["gmm", "drop"])
+    def test_run_mc_equals_replications_without_a_table(self, monkeypatch, pure_control):
+        report = run_mc(SEC6, reps=16, pure_control=pure_control, oracle_draws=10**5)
+        alone = [replicate_once(SEC6, r, pure_control=pure_control) for r in range(16)]
+        assert repr(report.per_replication) == repr(alone)
+        with monkeypatch.context() as m:  # the same study with every plan starting empty
+            m.setattr(estimator, "_study_tables", contextlib.nullcontext)
+            untabled = run_mc(SEC6, reps=16, pure_control=pure_control, oracle_draws=10**5)
+        assert repr(untabled.per_replication) == repr(report.per_replication)
+        assert report_to_json(untabled) == report_to_json(report)
+
+    @pytest.mark.parametrize("pure_control", ["gmm", "drop"])
+    def test_quadratic_study_equals_fits_without_a_table(self, pure_control):
+        design = SaturationDesign.from_counts(SMALL_DESIGN.saturations, (12,) * 5)
+        cfg = replace(SEC6, G=60, n=40, design=design)
+        datasets = [simulate_experiment(replace(cfg, seed=s)) for s in range(16)]
+        basis = quadratic_basis()
+        with estimator._study_tables():
+            shared = [
+                _estimate_bytes(estimate_all(d, basis, cfg.design, pure_control=pure_control))
+                for d in datasets
+            ]
+            (table,) = estimator._STUDY_TABLES.get().values()
+        alone = [
+            _estimate_bytes(estimate_all(d, basis, cfg.design, pure_control=pure_control))
+            for d in datasets
+        ]
+        assert shared == alone
+        # the datasets share keys, so the table holds fewer than their sum
+        keys = sum(
+            estimator._InstrumentPlan(d.cells, basis, cfg.design, "estimate").n_keys
+            for d in datasets
+        )
+        assert len(table.row) < keys
+
+    def test_families_built_as_plans_ask_for_them(self):
+        # one target's instruments first, so the other families come to keys built earlier
+        datasets = [simulate_experiment(small_config(seed=s)) for s in range(4)]
+
+        def fits():
+            out = []
+            for target, data in zip(("population", "joint", "never_taker", "population"), datasets):
+                zhat = estimator.build_instruments(data, linear_basis(), SMALL_DESIGN, target).zhat
+                results = estimate_all(data, linear_basis(), SMALL_DESIGN)
+                out += [zhat.tobytes(), _estimate_bytes(results)]
+            return out
+
+        alone = fits()
+        with estimator._study_tables():
+            assert fits() == alone
+
+    def test_user_basis_with_a_builtin_name_gets_its_own_table(self):
+        data = simulate_experiment(small_config())
+        look_alike = BasisSpec("linear", (lambda x: np.ones_like(x), lambda x: x * x))
+        alone = _estimate_bytes(estimate_all(data, look_alike, SMALL_DESIGN))
+        with estimator._study_tables():
+            linear = _estimate_bytes(estimate_all(data, linear_basis(), SMALL_DESIGN))
+            shared = _estimate_bytes(estimate_all(data, look_alike, SMALL_DESIGN))
+            tables = estimator._STUDY_TABLES.get()
+            assert [t.basis for t in tables.values()] == [linear_basis(), look_alike]
+        assert shared == alone != linear
+
+    def test_no_table_survives_run_mc(self, monkeypatch):
+        cfg = small_config()
+        run_mc(cfg, reps=3, oracle_draws=10**5)
+        assert estimator._STUDY_TABLES.get() is None
+        built = []  # the keys of each q_extended call
+        q_extended = moments.q_extended
+
+        def counted(basis, cbar, n, design):
+            built.append(len(cbar))
+            return q_extended(basis, cbar, n, design)
+
+        monkeypatch.setattr(moments, "q_extended", counted)
+        data = simulate_experiment(cfg)
+        plan = estimator._InstrumentPlan(data.cells, linear_basis(), cfg.design, "estimate")
+        assert built == [plan.n_keys]  # every key built anew
+
+    def test_builtin_bases_are_shared_instances(self):
+        assert linear_basis() is linear_basis()
+        assert quadratic_basis() is quadratic_basis()
 
 
 class TestNaiveCoverageDegradation:
