@@ -1,7 +1,7 @@
 """Randomized saturation experiments: simulation, exact design moments, and
 spillover-robust IV estimation under one-sided non-compliance."""
 
-from .design import DesignDiagnostics, SaturationDesign, assign_offers, sample_saturations, validate_design
+from .design import DesignDiagnostics, SaturationDesign, sample_saturations, validate_design
 from .dgp import ExperimentData, GroupData, SimConfig, oracle_subpopulation_means, simulate_experiment
 from .effects import EffectCurve, effect_curve
 from .errors import SingularSystemError, UnidentifiedEffectError, ValidationError
@@ -53,7 +53,6 @@ __all__ = [
     "SingularSystemError",
     "UnidentifiedEffectError",
     "ValidationError",
-    "assign_offers",
     "basis_by_name",
     "block_inverse",
     "effect_curve",

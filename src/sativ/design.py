@@ -3,7 +3,7 @@
 First stage: groups are assigned a saturation from a finite set, either a
 fixed number of groups per saturation (completely at random) or i.i.d. from
 the design weights.  Second stage: individuals receive Bernoulli(saturation)
-treatment offers.
+treatment offers, which the simulator draws (``dgp``).
 """
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ class SaturationDesign:
                 raise ValidationError(f"saturation {s} outside [0, 1]")
         if len(self.weights) != len(self.saturations):
             raise ValidationError("weights and saturations must align")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):  # false for nan
             raise ValidationError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > _WEIGHT_TOL:
+        if not abs(sum(self.weights) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("weights must sum to 1 within 1e-12")
         if self.counts is not None and len(self.counts) != len(self.saturations):
             raise ValidationError("counts and saturations must align")
@@ -117,19 +117,6 @@ def sample_saturations(design: SaturationDesign, G: int, rng: np.random.Generato
         pool = np.repeat(np.asarray(design.saturations), np.asarray(design.counts))
         return rng.permutation(pool)
     return rng.choice(np.asarray(design.saturations), size=G, p=np.asarray(design.weights))
-
-
-def assign_offers(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw the length-n offer vector: i.i.d. Bernoulli(s) entries."""
-    if n < 2:
-        raise ValidationError("each group must have at least two members")
-    if not 0.0 <= s <= 1.0:
-        raise ValidationError("saturation outside [0, 1]")
-    if s == 0.0:
-        return np.zeros(n, dtype=np.int8)
-    if s == 1.0:
-        return np.ones(n, dtype=np.int8)
-    return (rng.random(n) < s).astype(np.int8)
 
 
 def validate_design(

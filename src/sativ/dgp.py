@@ -18,7 +18,7 @@ import numpy as np
 
 from . import design as design_mod
 from .design import SaturationDesign
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 from .model import (
     LABEL_COMPLIER,
     LABEL_NEVER_TAKER,
@@ -29,7 +29,6 @@ from .streams import TAG_GROUP, TAG_ORACLE, TAG_SATURATIONS, Seed, substream, su
 
 DEFAULT_SHARES = (0.1, 0.2, 0.3, 0.4, 0.5)
 ORACLE_BLOCK = 2**15  # draws per block of the oracle's stream (256 KB per float array)
-SEARCH_MAX = 1024  # SimConfig.support_index binary-searches up to this many uniforms
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,13 @@ class SimConfig:
     seed: Seed = 0
 
     def __post_init__(self):
-        if self.G < 2:
-            raise ValidationError("need at least two groups")
-        if self.n < 2:
-            raise ValidationError("each group must have at least two members")
+        for name in ("G", "n"):  # an integral float such as 10.0 is stored as the int
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, 2))
         for name in ("means", "kappa", "sigma"):
             if len(getattr(self, name)) != 4:
                 raise ValidationError(f"{name} must have four entries (alpha,beta,gamma,delta)")
+            if not all(abs(v) < math.inf for v in getattr(self, name)):  # false for nan
+                raise ValidationError(f"{name} entries must be finite")
         if any(s < 0 for s in self.sigma):
             raise ValidationError("sigma entries must be nonnegative")
         if not self.complier_shares:
@@ -64,7 +63,8 @@ class SimConfig:
         if self.share_probs is not None:
             if len(self.share_probs) != len(self.complier_shares):
                 raise ValidationError("share_probs and complier_shares must align")
-            if any(p < 0 for p in self.share_probs) or abs(sum(self.share_probs) - 1) > 1e-12:
+            probs = self.share_probs
+            if not (all(p >= 0 for p in probs) and abs(sum(probs) - 1) <= 1e-12):  # not nan
                 raise ValidationError("share_probs must be a probability vector")
 
     # The derived values below are cached: the config is frozen, and a
@@ -113,11 +113,8 @@ class SimConfig:
         """``out``, set to the support point of each uniform in u: the number of interior
         edges of the normalized cdf ``cumsum(p) / cumsum(p)[-1]`` at or below it, which is
         ``Generator.choice``'s ``searchsorted(cdf, u, side="right")``, so a point of
-        probability 0 is never drawn.  Up to ``SEARCH_MAX`` uniforms take that call;
-        more are counted edge by edge, ~15x faster than its branchy binary search."""
-        if u.size <= SEARCH_MAX:
-            out[...] = np.searchsorted(self._support_edges, u, side="right")
-            return out
+        probability 0 is never drawn.  The edges are counted one by one, which on many
+        uniforms is ~15x faster than that branchy binary search."""
         out.fill(0)
         for edge in self._support_edges:
             out += u >= edge
@@ -417,11 +414,11 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
 
     Per group the stream gives, in this order: the share draw, the complier
     positions (``permutation(n)``'s draws: a shuffle of 0..n-1), the offers
-    (``design.assign_offers``' draws) and one normal draw per member for
-    each coefficient with sigma > 0.  Only the draws are made group by
-    group, into rows of arrays made once; everything computed from them is
-    done once for all groups, and each group holds views of the shared
-    (groups, n) arrays and of the (groups, 4, n) coefficients.
+    (at an interior s, n uniforms, each an offer iff below s) and one normal
+    draw per member for each coefficient with sigma > 0.  Only the draws are
+    made group by group, into rows of arrays made once; everything computed
+    from them is done once for all groups, and each group holds views of the
+    shared (groups, n) arrays and of the (groups, 4, n) coefficients.
     """
     n = cfg.n
     noisy = [j for j in range(4) if cfg.sigma[j] != 0.0]

@@ -157,10 +157,10 @@ def _target_arrays(
 
 
 # The ``_KeyTable``s shared by the plans built inside ``_study_tables()`` (one
-# Monte Carlo study, or one of its pool workers), keyed by (id(basis), design).
+# Monte Carlo study, or one of its pool workers), keyed by (basis, design).
 # A context variable, so that studies in other threads keep their own.
-_STUDY_TABLES: ContextVar[dict[tuple[int, SaturationDesign], "_KeyTable"] | None] = ContextVar(
-    "sativ_study_tables", default=None
+_STUDY_TABLES: ContextVar[dict[tuple[BasisSpec, SaturationDesign], "_KeyTable"] | None] = (
+    ContextVar("sativ_study_tables", default=None)
 )
 
 
@@ -174,35 +174,45 @@ def _study_tables():
         _STUDY_TABLES.reset(token)
 
 
-class _KeyTable:
-    """Per (cbar, n) key, for one basis and the design the plans use: Q0/Q1 and,
-    for each R family ("q" the stacked Q, "q0", "q1") a plan has asked for, R^+,
-    the flag that an eigenvalue was cut and |det R|, each in a column
-    ``cols[name]``.
+# The R of each RS target: the stacked Q, Q0 or Q1.
+_R_FAMILY = {
+    TARGET_JOINT: "q", TARGET_POPULATION: "q0", TARGET_COMPLIER_PSI: "q1", TARGET_NEVER_TAKER: "q1"
+}
 
-    A key's Q0/Q1 are built once, in one ``q_extended`` call over the keys a
-    plan misses, and each family in one ``pseudo_inverse_stack`` over the keys
-    not yet inverted.  Those calls give a key the same numbers whatever keys
-    share its batch, so a plan reading a shared table gets the bytes of a
-    table of its own.  The first batch becomes the columns; later ones are
-    appended, the columns growing by doubling.
+
+class _KeyTable:
+    """Per (cbar, n) key, for one basis and design: for each R family ("q" the
+    stacked Q, "q0", "q1"), R^+, the flag that an eigenvalue was cut and
+    |det R|, in the equal-length columns ``cols[f"{family}_pinv"]``,
+    ``_cut`` and ``_det``.
+
+    The keys a plan misses are built whole in one step: one ``q_extended``
+    call, then per family one ``pseudo_inverse_stack`` and one determinant.
+    Those calls give a key the same numbers whatever keys share its batch, so
+    a plan reading a shared table gets the bytes of a table of its own.  The
+    first batch becomes the columns; later ones are appended, the columns
+    growing by doubling.
     """
 
     def __init__(self, basis: BasisSpec, design: SaturationDesign):
-        self.basis, self.design = basis, design  # the basis kept alive: its id keys the table
+        self.basis, self.design = basis, design
         self.row: dict[complex, int] = {}
         self.cols: dict[str, np.ndarray] = {}
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
-        """The row of each key cbar + 1j * n, with the missing keys' Q0/Q1 built."""
+        """The row of each key cbar + 1j * n, with the missing keys built."""
         rows = np.array([self.row.get(key, -1) for key in keys.tolist()], dtype=np.intp)
         missing = np.flatnonzero(rows < 0)
         if len(missing):
             new = keys[missing]
             q0, q1 = moments.q_extended(self.basis, new.real, new.imag.astype(np.int64), self.design)
+            built = {}
+            for name, r in (("q", moments.assemble_q(q0, q1)), ("q0", q0), ("q1", q1)):
+                built[f"{name}_pinv"], built[f"{name}_cut"] = moments.pseudo_inverse_stack(r)
+                built[f"{name}_det"] = np.abs(np.linalg.det(r))
             size = len(self.row)
             rows[missing] = at = np.arange(size, size + len(new))
-            self._append(size, {"q0": q0, "q1": q1})
+            self._append(size, built)
             self.row.update(zip(new.tolist(), at.tolist()))
         return rows
 
@@ -210,45 +220,26 @@ class _KeyTable:
         if not self.cols:
             self.cols = built
             return
-        end = size + len(built["q0"])
-        if end > len(self.cols["q0"]):
-            capacity = max(end, 2 * len(self.cols["q0"]))
+        end = size + len(built["q_det"])
+        if end > len(self.cols["q_det"]):
+            capacity = max(end, 2 * len(self.cols["q_det"]))
             for name, col in self.cols.items():
-                grown = np.zeros((capacity,) + col.shape[1:], dtype=col.dtype)
+                grown = np.empty((capacity,) + col.shape[1:], dtype=col.dtype)
                 grown[:size] = col[:size]
                 self.cols[name] = grown
-        for name, col in self.cols.items():  # a family's new rows are not inverted yet
-            col[size:end] = built.get(name, 0)
-
-    def family(self, name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The R^+, cut flag and |det R| columns, with ``rows`` not yet inverted inverted now."""
-        cols = self.cols
-        if f"{name}_done" not in cols:
-            m, k = cols["q0"].shape[:2]
-            p = 2 * k if name == "q" else k
-            cols[f"{name}_pinv"] = np.zeros((m, p, p))
-            cols[f"{name}_cut"] = np.zeros(m, dtype=bool)
-            cols[f"{name}_det"] = np.zeros(m)
-            cols[f"{name}_done"] = np.zeros(m, dtype=bool)
-        todo = rows[~cols[f"{name}_done"][rows]]
-        if len(todo):
-            q0, q1 = cols["q0"][todo], cols["q1"][todo]
-            r = moments.assemble_q(q0, q1) if name == "q" else {"q0": q0, "q1": q1}[name]
-            cols[f"{name}_pinv"][todo], cols[f"{name}_cut"][todo] = moments.pseudo_inverse_stack(r)
-            cols[f"{name}_det"][todo] = np.abs(np.linalg.det(r))
-            cols[f"{name}_done"][todo] = True
-        return cols[f"{name}_pinv"], cols[f"{name}_cut"], cols[f"{name}_det"]
+        for name, col in self.cols.items():
+            col[size:end] = built[name]
 
 
 class _InstrumentPlan:
     """Zhat = R(cbar, n)^+ W for every RS target of one dataset.
 
-    R depends on a cell only through its key (cbar, n), so Q0/Q1 are built
-    once per key and each R family (Q0, Q1, stacked Q) gets one batched
-    pseudo-inverse shared by all targets, both read from a ``_KeyTable``: the
-    study's, inside ``_study_tables()``, else one built for this plan alone.
-    The plan covers the cells of ``mask``: with a 0% saturation in the
-    design, the groups with S > 0, and the moments condition on S > 0.
+    R depends on a cell only through its key (cbar, n), so each R family
+    (Q0, Q1, stacked Q) is pseudo-inverted once per key for all targets, in
+    a ``_KeyTable``: the study's, inside ``_study_tables()``, else one built
+    for this plan alone.  The plan covers the cells of ``mask``: with a 0%
+    saturation in the design, the groups with S > 0, and the moments
+    condition on S > 0.
     """
 
     def __init__(self, cells: Cells, basis: BasisSpec, design: SaturationDesign, chat_policy: str):
@@ -267,38 +258,27 @@ class _InstrumentPlan:
             if chat_policy == "estimate"
             else 0
         )
-        keys, self.key_of_cell = np.unique(cbar + 1j * n, return_inverse=True)  # by cbar, then n
+        keys, key_of_cell = np.unique(cbar + 1j * n, return_inverse=True)  # by cbar, then n
         self.n_keys = len(keys)
         tables = _STUDY_TABLES.get()
         if tables is None:  # outside a study every plan starts empty
             tables = {}
-        if (id(basis), design) not in tables:
-            tables[id(basis), design] = _KeyTable(basis, design)
-        self.table = tables[id(basis), design]
+        if (basis, design) not in tables:
+            tables[basis, design] = _KeyTable(basis, design)
+        self.table = tables[basis, design]
         self.rows = self.table.rows(keys)
-        self.cell_row = self.rows[self.key_of_cell]  # the table row of each cell
-        self.q0, self.q1 = (self.table.cols[name][self.rows] for name in ("q0", "q1"))
-        self._families: dict[str, tuple[np.ndarray, int, float]] = {}
-
-    def _family(self, target: str) -> tuple[np.ndarray, int, float]:
-        """The table's R^+ column, rows pseudo-inverted and min |det R| for the target's R."""
-        name = {TARGET_JOINT: "q", TARGET_POPULATION: "q0"}.get(target, "q1")
-        if name not in self._families:
-            pinv, deficient, dets = self.table.family(name, self.rows)
-            n_rows = int(self.count[deficient[self.cell_row]].sum())
-            self._families[name] = (pinv, n_rows, float(dets[self.rows].min()))
-        return self._families[name]
+        self.cell_row = self.rows[key_of_cell]  # the table row of each cell
 
     def zhat(self, target: str, w: np.ndarray) -> np.ndarray:
         """Zhat for the cells of the mask, given W on those cells only."""
-        pinv = self._family(target)[0]
+        pinv = self.table.cols[f"{_R_FAMILY[target]}_pinv"]
         return np.einsum("nij,nj->ni", pinv[self.cell_row], w)
 
     def diagnostics(self, target: str, pure_control: str | None) -> EstimatorDiagnostics:
-        _, n_pseudo, min_det = self._family(target)
+        cols, name = self.table.cols, _R_FAMILY[target]
         return EstimatorDiagnostics(
-            n_pseudo_inverted=n_pseudo,
-            min_abs_det_r=min_det,
+            n_pseudo_inverted=int(self.count[cols[f"{name}_cut"][self.cell_row]].sum()),
+            min_abs_det_r=float(cols[f"{name}_det"][self.rows].min()),
             pure_control=pure_control,
             n_chat_fallback=self.n_chat_fallback,
             n_instrument_keys=self.n_keys,

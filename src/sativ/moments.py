@@ -39,7 +39,6 @@ class MomentMatrices:
     q1: np.ndarray
     cbar: float
     n: int
-    condition_on_positive: bool = False
 
     @property
     def q(self) -> np.ndarray:
@@ -150,19 +149,12 @@ def q_z_at_count(basis: BasisSpec, count, n, design: SaturationDesign) -> np.nda
     return out if np.ndim(count) or np.ndim(n) else out[:, 0]
 
 
-def q_exact(
-    basis: BasisSpec,
-    cbar: float,
-    n: int,
-    design: SaturationDesign,
-    condition_on_positive: bool = False,
-) -> MomentMatrices:
+def q_exact(basis: BasisSpec, cbar: float, n: int, design: SaturationDesign) -> MomentMatrices:
     """Exact Q0/Q1 at (cbar, n); requires (n-1)*cbar to be an integer.
 
-    Both come from ``q_extended``, which is exact at an integer count.  With
-    ``condition_on_positive`` the expectation conditions on S > 0 (the
-    pure-control-excluded variant), i.e. the s = 0 atom is dropped and the
-    remaining weights renormalized.
+    Both come from ``q_extended``, which is exact at an integer count.  The
+    moments conditioned on S > 0 (the pure-control-excluded variant) are
+    those of ``design.positive_part()``.
     """
     if not 0.0 <= cbar <= 1.0:
         raise ValidationError("cbar must lie in [0, 1]")
@@ -171,15 +163,8 @@ def q_exact(
         raise ValidationError(
             f"(n-1)*cbar = {count} is not an integer; use q_extended instead"
         )
-    dsn = design.positive_part() if condition_on_positive else design
-    q0, q1 = q_extended(basis, cbar, n, dsn)
-    return MomentMatrices(
-        q0=q0,
-        q1=q1,
-        cbar=cbar,
-        n=n,
-        condition_on_positive=condition_on_positive,
-    )
+    q0, q1 = q_extended(basis, cbar, n, design)
+    return MomentMatrices(q0=q0, q1=q1, cbar=cbar, n=n)
 
 
 def q_linear_closed_form(

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from sativ import design as design_mod
 from sativ.design import SaturationDesign
 from sativ.dgp import (
     ORACLE_BLOCK,
-    SEARCH_MAX,
     ExperimentData,
     GroupData,
     SimConfig,
@@ -61,6 +59,31 @@ class TestSimConfig:
     def test_share_range(self):
         with pytest.raises(ValidationError):
             homogeneous_config(complier_shares=(0.2, 1.3))
+
+    @pytest.mark.parametrize("name", ["means", "kappa", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_coefficient_parameters_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match=f"^{name} entries must be finite$"):
+            homogeneous_config(**{name: (0.5, bad, 0.0, 0.0)})
+
+    def test_nan_share_probs_rejected(self):
+        # nan probabilities would send every group to the first support point
+        with pytest.raises(ValidationError, match="^share_probs must be a probability vector$"):
+            homogeneous_config(complier_shares=(0.2, 0.4), share_probs=(math.nan, math.nan))
+
+    @pytest.mark.parametrize(
+        "name,value", [("G", 50.5), ("n", 20.5), ("G", 1), ("n", 1), ("n", "20")]
+    )
+    def test_group_count_and_size_are_integers_of_at_least_2(self, name, value):
+        with pytest.raises(
+            ValidationError, match=rf"^{name} must be an integer of at least 2, got {value!r}$"
+        ):
+            homogeneous_config(**{name: value})
+
+    def test_integral_group_count_and_size_stored_as_int(self):
+        cfg = homogeneous_config(G=50.0, n=np.int64(20))
+        assert (type(cfg.G), type(cfg.n)) == (int, int)
+        assert cfg == homogeneous_config()
 
     def test_counts_round_to_integers(self):
         # 116 * 0.1 = 11.6 is not realizable; counts snap to nearest integer
@@ -194,7 +217,9 @@ def _reference_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupD
     k = cfg.complier_counts[min(idx, len(cfg.complier_shares) - 1)]
     c = np.zeros(n, dtype=np.int8)
     c[rng.permutation(n)[:k]] = 1
-    z = design_mod.assign_offers(n, saturation, rng)
+    z = np.full(n, saturation == 1.0, dtype=np.int8)
+    if 0.0 < saturation < 1.0:  # s = 0 and s = 1 draw no offers
+        z = (rng.random(n) < saturation).astype(np.int8)
     d = (c * z).astype(np.int8)
     cbar = (k - c.astype(float)) / (n - 1)
     coefs = np.empty((n, 4))
@@ -249,6 +274,28 @@ def _assert_key_sums_match_reference(cfg: SimConfig, n_draws: int, seed: int):
     assert np.array_equal(cbar[key], ref_cbar)
     ref_sums = [np.bincount(key, weights=row, minlength=n_keys) for row in coefs]
     np.testing.assert_allclose(sums, ref_sums, rtol=1e-12, atol=0)
+
+
+class TestOffers:
+    def test_offer_count_is_binomial(self):
+        # at an interior saturation a group's offer count follows Binomial(n, s)
+        n, s, G = 10, 0.3, 10**4
+        design = SaturationDesign.from_probs((s,), (1.0,))
+        cfg = homogeneous_config(G=G, n=n, design=design, seed=21)
+        counts = [int(g.z.sum()) for g in simulate_experiment(cfg).groups]
+        observed = np.bincount(counts, minlength=n + 1)
+        expected = binomial_pmf(n, s) * G
+        keep = expected >= 5
+        obs = np.append(observed[keep], observed[~keep].sum())
+        exp = np.append(expected[keep], expected[~keep].sum())
+        assert chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 0.001
+
+    def test_corner_saturations_offer_no_one_or_everyone(self):
+        data = simulate_experiment(homogeneous_config(G=15, design=CORNERS))
+        for g in data.groups:
+            if g.saturation in (0.0, 1.0):
+                assert np.all(g.z == g.saturation), g.group_id
+        assert {g.saturation for g in data.groups} == set(CORNERS.saturations)
 
 
 class TestSimulationDigest:
@@ -377,9 +424,9 @@ class TestSupportIndices:
         assert rng.random() == ref.random()  # the same draws were consumed
         assert not np.isin(np.flatnonzero(np.asarray(probs) == 0.0), got).any()
 
-    @pytest.mark.parametrize("size", [1, 235, SEARCH_MAX, SEARCH_MAX + 1])
+    @pytest.mark.parametrize("size", [1, 235, 1024, 1025])
     def test_few_uniforms_equal_many(self, size):
-        # up to SEARCH_MAX uniforms take searchsorted, more the edge count
+        # a uniform's support point does not depend on how many are drawn with it
         for probs in ((0.2,) * 5, (0.1, 0.0, 0.5, 0.4), (0.0, 0.3, 0.7, 0.0), (1.0,)):
             cfg = support_config(probs)
             u = substream(6).random(size)
@@ -387,7 +434,7 @@ class TestSupportIndices:
             edges = cdf[:-1] / cdf[-1]
             u[: len(edges)] = edges[:size]  # a uniform on an edge counts it
             got = cfg.support_index(u, out=np.empty(size, dtype=np.intp))
-            copies = 2 * SEARCH_MAX  # more than SEARCH_MAX uniforms even at size 1
+            copies = 2048
             many = cfg.support_index(np.tile(u, copies), np.empty(copies * size, dtype=np.intp))
             assert np.array_equal(np.tile(got, copies), many)
 

@@ -1027,11 +1027,16 @@ class TestMixedSizeRoundTrip:
         assert len(keys) == plan.n_keys > 4000
         assert len(np.unique(keys[:, 1])) > 150
         positive = design.positive_part()  # the plan covers the groups with S > 0
+        cols = plan.table.cols
         for size in np.unique(keys[:, 1]):
             at = keys[:, 1] == size
-            for z, q in ((0, plan.q0), (1, plan.q1)):
-                ref = moments.q_extended(LIN, keys[at, 0], int(size), positive)[z]
-                assert q[at].tobytes() == ref.tobytes()
+            rows = plan.rows[at]
+            q0, q1 = moments.q_extended(LIN, keys[at, 0], int(size), positive)
+            for name, r in (("q", moments.assemble_q(q0, q1)), ("q0", q0), ("q1", q1)):
+                pinv, cut = moments.pseudo_inverse_stack(r)
+                assert cols[f"{name}_pinv"][rows].tobytes() == pinv.tobytes()
+                assert np.array_equal(cols[f"{name}_cut"][rows], cut)
+                assert cols[f"{name}_det"][rows].tobytes() == np.abs(np.linalg.det(r)).tobytes()
 
 
 class TestPeakMemory:

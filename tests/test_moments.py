@@ -211,13 +211,6 @@ class TestQExact:
                 assert np.linalg.eigvalsh(q)[0] > -1e-12
         assert np.allclose(mm.q, assemble_q(mm.q0, mm.q1))
 
-    def test_conditioning_drops_zero_atom(self):
-        # conditional variant == same design with the s=0 atom removed
-        cond = q_exact(LIN, 0.4, 11, SEC6_DESIGN, condition_on_positive=True)
-        manual = q_exact(LIN, 0.4, 11, SEC6_DESIGN.positive_part())
-        assert np.allclose(cond.q0, manual.q0, atol=1e-15)
-        assert np.allclose(cond.q1, manual.q1, atol=1e-15)
-
 
 class TestClosedFormAgreement:
     @pytest.mark.parametrize("design", [SEC6_DESIGN, TWO_SAT], ids=["sec6", "two-sat"])

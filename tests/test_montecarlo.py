@@ -144,7 +144,7 @@ def _estimate_bytes(results) -> dict:
 
 
 class TestStudyTable:
-    """A study's replications share one table of per-key Q and R^+
+    """A study's replications share one table of per-key R^+
     (``estimator._KeyTable``); every number must be what each replication
     gives with a table of its own."""
 
@@ -183,8 +183,8 @@ class TestStudyTable:
         )
         assert len(table.row) < keys
 
-    def test_families_built_as_plans_ask_for_them(self):
-        # one target's instruments first, so the other families come to keys built earlier
+    def test_targets_in_mixed_order_equal_fits_without_a_table(self):
+        # one target's instruments first, then every target, over datasets sharing keys
         datasets = [simulate_experiment(small_config(seed=s)) for s in range(4)]
 
         def fits():

@@ -21,7 +21,6 @@ def test_public_api():
         "SingularSystemError",
         "UnidentifiedEffectError",
         "ValidationError",
-        "assign_offers",
         "basis_by_name",
         "block_inverse",
         "effect_curve",
