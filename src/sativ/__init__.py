@@ -1,6 +1,12 @@
 """Randomized saturation experiments: simulation, exact design moments, and
 spillover-robust IV estimation under one-sided non-compliance."""
 
+# numpy imports these two on first use: ``streams`` needs numpy.random, and
+# np.unique reaches numpy.ma through is_masked.  Importing them with the
+# package keeps that cost out of the first simulation and the first estimate.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .design import DesignDiagnostics, SaturationDesign, sample_saturations, validate_design
 from .dgp import ExperimentData, GroupData, SimConfig, oracle_subpopulation_means, simulate_experiment
 from .effects import EffectCurve, effect_curve

@@ -154,7 +154,20 @@ def _fallback_json(diag: estimator.EstimatorDiagnostics) -> dict:
         "n_chat_fallback": diag.n_chat_fallback,
         "n_instrument_keys": diag.n_instrument_keys,
         "n_pseudo_inverted": diag.n_pseudo_inverted,
+        "n_groups_identifying": diag.n_groups_identifying,
     }
+
+
+def _note_unidentified_vcov(results) -> None:
+    """Warn on stderr about fits whose instruments are nonzero in too few groups."""
+    for res in results:
+        groups, k = res.diagnostics.n_groups_identifying, len(res.coefficients)
+        if groups <= k:
+            print(
+                f"note: {res.target}: the instruments are nonzero in {groups} groups, "
+                f"not more than the {k} coefficients, so its standard errors are not identified",
+                file=sys.stderr,
+            )
 
 
 def _result_json(res: estimator.EstimateResult, cfg_echo: dict) -> dict:
@@ -212,6 +225,7 @@ def _cmd_estimate(args) -> int:
     res = estimator.rsiv_estimate(
         data, basis, design, TARGET_NAMES[args.target], pure_control=pure_control
     )
+    _note_unidentified_vcov([res])
     echo = {"config_file": str(args.config), "data": str(args.data), "target": args.target}
     _emit(_result_json(res, echo), args.out)
     return 0
@@ -230,6 +244,7 @@ def _cmd_effects(args) -> int:
     res = estimator.estimate_all(
         data, basis, design, pure_control=pure_control, include_naive=False
     )
+    _note_unidentified_vcov(res.values())
     grid = effects.default_grid(args.grid_points)
     ie_grid = grid[grid + args.delta <= 1.0 + 1e-12]
     curves = [

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .design import SaturationDesign
 from .errors import ValidationError
@@ -29,6 +28,16 @@ from .model import BasisSpec
 INTEGER_TOL = 1e-9
 PINV_RTOL = 1e-12
 SHARED_PMF_MAX_N = 1024  # pairs up to this n share one pmf table per saturation (<= 8 MB)
+
+# cephes lgam (Moshier): 0.5*log(2*pi) and the Stirling correction's coefficients below x = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
 
 @dataclass(frozen=True)
@@ -57,11 +66,46 @@ def assemble_q(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pmf_rows(counts: np.ndarray, p: float) -> np.ndarray:
+def _log_factorials(width: int) -> np.ndarray:
+    """log(j!) for j = 0..width-1, equal bit for bit to ``scipy.special.gammaln(j + 1)``.
+
+    This is cephes' ``lgam``, the algorithm ``gammaln`` runs, with its
+    operations in its order: the log of the exact factorial for j <= 11, then
+    Stirling's series at x = j + 1 with a polynomial correction below
+    x = 1000, a three-term one up to x = 1e8 and none beyond.  The logs come
+    from ``math.log`` (the C library's, as in cephes): ``np.log`` rounds some
+    arguments differently.
+    """
+    out = np.empty(width)
+    exact = min(width, 12)
+    out[:exact] = [math.log(math.factorial(j)) for j in range(exact)]
+    if width <= 12:
+        return out
+    x = np.arange(13.0, width + 1.0)
+    log_x = np.fromiter(map(math.log, range(13, width + 1)), float, width - 12)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = slice(0, 1000 - 13)  # 13 <= x < 1000
+    series = slice(1000 - 13, 10**8 - 12)  # 1000 <= x <= 1e8
+    correction = _LGAM_A[0]
+    for coef in _LGAM_A[1:]:
+        correction = correction * p[poly] + coef
+    q[poly] += correction / x[poly]
+    ps = p[series]
+    q[series] += (
+        (7.9365079365079365079365e-4 * ps - 2.7777777777777777777778e-3) * ps
+        + 0.0833333333333333333333
+    ) / x[series]
+    out[12:] = q
+    return out
+
+
+def _pmf_rows(counts: np.ndarray, p: float, log_fact: np.ndarray) -> np.ndarray:
     """Row j is the pmf of Binomial(counts[j], p) on 0..max(counts), zero past counts[j].
 
-    Each row is computed in log space with the same operations, in the same
-    order, as a single pmf, so it equals that pmf bit for bit.
+    ``log_fact`` holds ``_log_factorials`` of at least max(counts) + 1.  Each
+    row is computed in log space with the same operations, in the same order,
+    as a single pmf, so it equals that pmf bit for bit.
     """
     width = int(counts.max()) + 1
     out = np.zeros((len(counts), width))
@@ -72,7 +116,6 @@ def _pmf_rows(counts: np.ndarray, p: float) -> np.ndarray:
         out[np.arange(len(counts)), counts] = 1.0
         return out
     m = np.arange(width)
-    log_fact = gammaln(m + 1)  # log(j!) for j = 0..width-1
     c = counts[:, None]
     logpmf = (
         log_fact[c]
@@ -88,7 +131,7 @@ def binomial_pmf(trials: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(trials, p), computed in log space for stability."""
     if trials < 0:
         raise ValidationError("trials must be nonnegative")
-    return _pmf_rows(np.array([trials]), p)[0]
+    return _pmf_rows(np.array([trials]), p, _log_factorials(trials + 1))[0]
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -136,11 +179,12 @@ def q_z_at_count(basis: BasisSpec, count, n, design: SaturationDesign) -> np.nda
             parts.append((block[at], pmf_row[at]))
             grids.append(np.arange(counts[block[at]].max() + 1) / (size - 1))
         fvals = np.split(basis.values(np.concatenate(grids)), np.cumsum([len(g) for g in grids])[:-1])
+        log_fact = _log_factorials(int(distinct[-1]) + 1)
         for s, w in zip(design.saturations, design.weights):
             zweights = [(q, zw) for q, zw in zip(out, (w * (1.0 - s), w * s)) if zw != 0.0]
             if not zweights:
                 continue
-            pmf = _pmf_rows(distinct, s)
+            pmf = _pmf_rows(distinct, s, log_fact)
             for (rows, pmf_at), f in zip(parts, fvals):
                 product = f.T @ (pmf[pmf_at, : len(f)][:, :, None] * f)
                 for q, zweight in zweights:

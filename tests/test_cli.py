@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sativ
 from sativ import effects, estimator
 from sativ.cli import design_from_config, load_config, main, simconfig_from_config
 from sativ.design import SaturationDesign
@@ -11,6 +15,7 @@ from sativ.dgp import ExperimentData, GroupData, SimConfig, simulate_experiment
 from sativ.io import ingest_csv, write_data_csv, write_latent_csv
 from sativ.model import linear_basis
 from sativ.montecarlo import report_to_json, run_mc
+from test_instrument_reference import WITH_ZERO, corner_sample
 
 
 @pytest.fixture
@@ -263,6 +268,7 @@ class TestSubcommands:
                 "n_chat_fallback": r.diagnostics.n_chat_fallback,
                 "n_instrument_keys": r.diagnostics.n_instrument_keys,
                 "n_pseudo_inverted": r.diagnostics.n_pseudo_inverted,
+                "n_groups_identifying": r.diagnostics.n_groups_identifying,
             }
         assert meta["diagnostics"]["joint"]["pure_control"] == policy
 
@@ -647,3 +653,53 @@ class TestErrorPaths:
         path.write_bytes(b'{"design": {"saturations": [0.5\xff]}}')
         assert main(["validate-design", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: config {path} is not UTF-8 text\n"
+
+
+# every import of scipy, or of a scipy submodule, fails once sys.modules["scipy"] is None
+_NO_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None
+from sativ.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestWithoutScipy:
+    def test_every_command_runs_without_scipy(self, config_path, tmp_path):
+        data = str(tmp_path / "data.csv")
+        cfg = ["--config", config_path]
+        commands = [
+            ["simulate", *cfg, "--out", data],
+            ["estimate", *cfg, "--data", data, "--target", "joint"],
+            ["effects", *cfg, "--data", data, "--out", str(tmp_path / "curves.csv")],
+            ["ior-test", "--data", data],
+            ["validate-design", *cfg],
+            ["montecarlo", *cfg, "--jobs", "1", "--out", str(tmp_path / "mc.json")],
+        ]
+        src = str(Path(sativ.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY, json.dumps(commands)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(commands)
+
+
+class TestIdentifyingGroups:
+    def test_note_when_instruments_span_too_few_groups(self, tmp_path, capsys):
+        # a corner sample whose offered never-takers sit in two groups: the
+        # two-coefficient never-taker fit leaves every group score at zero
+        data_path = tmp_path / "data.csv"
+        write_data_csv(corner_sample(24, 10, 0, WITH_ZERO), data_path)
+        cfg = {"design": {"saturations": list(WITH_ZERO.saturations),
+                          "probs": list(WITH_ZERO.weights)}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        base = ["--config", str(cfg_path), "--data", str(data_path)]
+        out = tmp_path / "est.json"
+        assert main(["estimate", *base, "--target", "never-taker", "--pure-control", "drop",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["n_groups_identifying"] == 2
+        assert "note: never_taker: the instruments are nonzero in 2 groups" in capsys.readouterr().err
+        assert main(["estimate", *base, "--target", "joint", "--pure-control", "drop"]) == 0
+        assert "note:" not in capsys.readouterr().err

@@ -42,6 +42,7 @@ from sativ.estimator import (
 from sativ.io import ingest_csv
 from sativ.model import linear_basis
 from sativ.streams import replication_seed, substream
+from test_instrument_reference import corner_sample
 
 LIN = linear_basis()
 INTERIOR = SaturationDesign.from_probs((0.25, 0.5, 0.75), (1 / 3, 1 / 3, 1 / 3))
@@ -229,6 +230,32 @@ class TestPureControlDiagnostics:
         assert {r.diagnostics.pure_control for r in drop.values()} == {"drop"}
         interior = estimate_all(simulate_experiment(noiseless_config(seed=3)), LIN, INTERIOR)
         assert {r.diagnostics.pure_control for r in interior.values()} == {None}
+
+
+class TestIdentifyingGroups:
+    def test_groups_with_nonzero_instruments_on_sec6_data(self):
+        cfg = noisy_sec6_config(seed=3)
+        data = simulate_experiment(cfg)
+        res = estimate_all(data, LIN, cfg.design, pure_control="drop")
+        positive = data.group_saturation > 0.0
+        unoffered = np.array([np.any(g.z == 0) for g in data.groups])
+        offered_never_taker = np.array([np.any((g.z == 1) & (g.d == 0)) for g in data.groups])
+        diag = {t: r.diagnostics.n_groups_identifying for t, r in res.items()}
+        assert diag[TARGET_JOINT] == positive.sum()
+        assert diag[TARGET_POPULATION] == (positive & unoffered).sum()
+        assert diag[TARGET_NEVER_TAKER] == (positive & offered_never_taker).sum()
+        assert diag[TARGET_COMPLIER_THETA] == min(diag[TARGET_POPULATION], diag[TARGET_NEVER_TAKER])
+        assert diag["naive_iv"] == data.n_groups
+
+    def test_fit_on_too_few_groups_is_flagged(self):
+        # offered never-takers in two groups: the two-coefficient fit leaves
+        # every group score at zero, and the clustered vcov is rounding noise
+        sample = corner_sample(24, 10, 0, WITH_ZERO)
+        res = estimate_all(sample, LIN, WITH_ZERO, pure_control="drop")
+        never_taker = res[TARGET_NEVER_TAKER]
+        assert never_taker.diagnostics.n_groups_identifying == 2
+        assert np.abs(never_taker.vcov).max() < 1e-24
+        assert res[TARGET_JOINT].diagnostics.n_groups_identifying > 4
 
 
 class TestComplierTheta:
@@ -471,7 +498,7 @@ class TestIORTest:
     def test_p_value_is_f_survival(self, seed):
         res = ior_test(simulate_experiment(noisy_sec6_config(seed=seed)))
         expect = f_dist.sf(res.wald / res.df, res.df, res.n_clusters - 1)
-        assert res.p_value == expect
+        assert res.p_value == pytest.approx(expect, rel=1e-13)
 
     def test_negative_wald_gives_p_one(self):
         # vb is PSD in exact arithmetic, but a numerically indefinite one can
@@ -479,10 +506,44 @@ class TestIORTest:
         assert _f_sf(-0.3, 4, 49) == 1.0
         assert _f_sf(-0.0, 4, 49) == 1.0
         for x in (0.0, 0.7, 3.5, np.inf):
-            assert _f_sf(x, 4, 49) == f_dist.sf(x, 4, 49)
+            assert _f_sf(x, 4, 49) == pytest.approx(f_dist.sf(x, 4, 49), rel=1e-13)
+
+    def test_f_survival_edge_values(self):
+        assert _f_sf(0.0, 3, 234) == 1.0
+        assert _f_sf(5e-324, 3, 234) == 1.0
+        assert _f_sf(np.inf, 3, 234) == 0.0
+        assert _f_sf(1e308, 3, 234) == 0.0
+        assert np.isnan(_f_sf(np.nan, 3, 234))
+
+    def test_f_survival_matches_scipy_on_a_grid(self):
+        xs = np.geomspace(1e-6, 1e4, 201)
+        worst = 0.0
+        for df1 in range(1, 12):
+            for df2 in (1, 2, 3, 5, 10, 49, 187, 1879, 23499, 10**5):
+                expect = f_dist.sf(xs, df1, df2)
+                for x, e in zip(xs[expect > 1e-300], expect[expect > 1e-300]):
+                    worst = max(worst, abs(_f_sf(float(x), df1, df2) - e) / e)
+        assert worst <= 1e-11
+
+    def test_f_survival_closed_forms(self):
+        # df1 = 2: (1 + 2x/df2)^(-df2/2); df2 = 2: 1 - (df1 x/(2 + df1 x))^(df1/2).
+        # Both are taken through log1p and expm1, and checked where the survival
+        # probability is above 1e-12: deeper in the tail, evaluating exp(L) of a
+        # large |L| loses |L| ulps in any implementation, the reference's too.
+        xs = np.geomspace(1e-6, 1e4, 201)
+        pairs = [((2, df2), np.exp(-df2 / 2 * np.log1p(2 * xs / df2)))
+                 for df2 in (1, 2, 3, 5, 10, 49, 187, 1879, 23499, 10**5)]
+        pairs += [((df1, 2), -np.expm1(-df1 / 2 * np.log1p(2 / (df1 * xs))))
+                  for df1 in range(1, 12)]
+        for (df1, df2), expect in pairs:
+            for x, e in zip(xs[expect > 1e-12], expect[expect > 1e-12]):
+                assert _f_sf(float(x), df1, df2) == pytest.approx(e, rel=1e-14, abs=0)
 
     def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, sativ, sativ.cli; print('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, sativ, sativ.cli; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        )
         src = str(Path(sativ.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,

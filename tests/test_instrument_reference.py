@@ -313,15 +313,13 @@ def test_ior_test_matches_per_row_reference(design):
     assert res.n_clusters == n_clusters
 
 
-@st.composite
-def corner_data(draw, design):
+def corner_sample(seed: int, n_groups: int, first_offer: int, design) -> ExperimentData:
     """Mixed-n groups (2..9 members) plus a Chat=0 and a full take-up group."""
-    seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     sats = list(design.saturations)
     positive = [s for s in sats if s > 0.0]
     groups = []
-    for gid in range(draw(st.integers(10, 16))):
+    for gid in range(n_groups):
         n = int(rng.integers(2, 10))
         s = float(sats[gid % len(sats)])
         z = (rng.random(n) < s).astype(np.int8)
@@ -330,7 +328,7 @@ def corner_data(draw, design):
     n = int(rng.integers(2, 10))
     # at most one offered member: its Chat, or every Chat if none, falls back to 0
     z = np.zeros(n, dtype=np.int8)
-    z[0] = draw(st.integers(0, 1))
+    z[0] = first_offer
     c = (rng.random(n) < 0.5).astype(np.int8)
     groups.append(GroupData(len(groups), positive[0], z, c * z, rng.standard_normal(n),
                             complier=c))
@@ -340,6 +338,14 @@ def corner_data(draw, design):
     groups.append(GroupData(len(groups), positive[-1], ones, ones, rng.standard_normal(n),
                             complier=ones))
     return ExperimentData(groups)
+
+
+@st.composite
+def corner_data(draw, design):
+    """``corner_sample`` on a drawn seed, group count and offer flag."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_groups = draw(st.integers(10, 16))
+    return corner_sample(seed, n_groups, draw(st.integers(0, 1)), design)
 
 
 def _fits(data, design, pure_control, chat_policy):

@@ -52,6 +52,14 @@ def det_q1_two_sat(cbar, sl, sh, n):
     ) / (4 * (n - 1))
 
 
+class TestLogFactorials:
+    @pytest.mark.parametrize("width", [1, 12, 13, 1000, 1001, 3_000_001])
+    def test_equal_to_gammaln_bit_for_bit(self, width):
+        # the widths cross each branch of cephes lgam: exact factorials up to
+        # 11!, the polynomial correction below x = 1000 and the series above
+        assert np.array_equal(moments._log_factorials(width), gammaln(np.arange(width) + 1.0))
+
+
 class TestBinomialPmf:
     def test_sums_to_one(self):
         for trials, p in ((5, 0.3), (100, 0.01), (10_000, 0.4)):
