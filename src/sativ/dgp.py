@@ -11,6 +11,7 @@ y = alpha + beta*d + gamma*dbar + delta*d*dbar.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 
@@ -207,7 +208,7 @@ class Cells:
     The latent cells also split on the complier flag, which the true
     neighbor share ``cbar_true`` depends on.  Cells run in (group, z, d,
     flag) order.  ``y`` holds the outcomes cell by cell, each cell's sorted
-    by y with ties in data order (``_canonical_order``), so a per-row array
+    by y, equal y in any order (``_canonical_order``), so a per-row array
     is a per-cell one repeated ``count`` times, and sums over it do not
     depend on the order of individuals within a group.
     """
@@ -260,25 +261,16 @@ def _loo_take_up(taken: np.ndarray, offered: np.ndarray) -> np.ndarray:
 
 
 def _canonical_order(key: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.lexsort((y, key))``'s permutation, index for index.
+    """A permutation that sorts the rows by the key, then by y.
 
-    y is argsorted with numpy's default (unstable) kind, and each run of equal
-    y (-0.0 beside 0.0, and consecutive nans, count as equal) is put back in
-    data order by one int64 sort of ``run * N + index`` over the rows in runs.
-    That is the stable sort by y, without a timsort of float64.  A stable
-    sort by the key in its narrowest unsigned type, which numpy radix-sorts
-    while it fits 16 bits, finishes the order.
+    y is argsorted with numpy's default (unstable) kind, so rows of equal y
+    (-0.0 beside 0.0 among them) take any order within a key.  A fit only
+    sums a cell's y, and no order of equal values, or of signed zeros,
+    changes the bits of a floating-point sum.  A stable sort by the key in
+    its narrowest unsigned type, which numpy radix-sorts while it fits 16
+    bits, finishes the order.
     """
     by_y = np.argsort(y)
-    sorted_y = y[by_y]
-    tie = sorted_y[1:] == sorted_y[:-1]  # row i ties row i + 1 in sorted order
-    tie[np.searchsorted(sorted_y, np.nan):] = True  # the nans, which sort last
-    if tie.any():
-        run = np.cumsum(np.concatenate([[True], ~tie]))
-        at = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
-        tagged = run[at] * len(y) + by_y[at]
-        tagged.sort()
-        by_y[at] = tagged % len(y)
     narrow = key.astype(np.min_scalar_type(key.max()))[by_y]
     return by_y[np.argsort(narrow, kind="stable")]
 
@@ -287,9 +279,10 @@ def _canonical_order(key: np.ndarray, y: np.ndarray) -> np.ndarray:
 class ExperimentData:
     """Grouped observations; the sole input to all estimators.
 
-    ``check=False`` skips per-group validation; reserved for data whose
-    invariants already hold: the simulator's, by construction, and
-    ``ingest_csv``'s, which checks every row.
+    ``check=False`` skips per-group validation and the check that group ids
+    are unique; reserved for data whose invariants already hold: the
+    simulator's, by construction, and ``ingest_csv``'s, which checks every
+    row and pools the rows of an id into one group.
 
     ``cells`` and ``latent_cells`` are the only per-row caches.  The per-row
     properties (``z``, ``d``, ``y``, ``cell_key`` and the rest) are rebuilt
@@ -305,6 +298,9 @@ class ExperimentData:
         if check:
             for g in self.groups:
                 g.validate()
+            repeated = [i for i, k in Counter(g.group_id for g in self.groups).items() if k > 1]
+            if repeated:
+                raise ValidationError(f"group {repeated[0]}: id repeated; ids must be unique")
 
     @property
     def n_groups(self) -> int:

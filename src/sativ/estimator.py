@@ -178,6 +178,11 @@ def _study_tables():
         _STUDY_TABLES.reset(token)
 
 
+def _start_study_tables() -> None:
+    """A pool worker's initializer: its plans share tables until it exits."""
+    _STUDY_TABLES.set({})
+
+
 # The R of each RS target: the stacked Q, Q0 or Q1.
 _R_FAMILY = {
     TARGET_JOINT: "q", TARGET_POPULATION: "q0", TARGET_COMPLIER_PSI: "q1", TARGET_NEVER_TAKER: "q1"
@@ -193,9 +198,9 @@ class _KeyTable:
     The keys a plan misses are built whole in one step: one ``q_extended``
     call, then per family one ``pseudo_inverse_stack`` and one determinant.
     Those calls give a key the same numbers whatever keys share its batch, so
-    a plan reading a shared table gets the bytes of a table of its own.  The
-    first batch becomes the columns; later ones are appended, the columns
-    growing by doubling.
+    a plan reading a shared table gets the bytes of a table of its own.  Each
+    batch is concatenated onto the columns: a study appends at most once per
+    replication.
     """
 
     def __init__(self, basis: BasisSpec, design: SaturationDesign):
@@ -216,23 +221,12 @@ class _KeyTable:
                 built[f"{name}_det"] = np.abs(np.linalg.det(r))
             size = len(self.row)
             rows[missing] = at = np.arange(size, size + len(new))
-            self._append(size, built)
+            self.cols = {
+                name: np.concatenate([self.cols.get(name, col[:0]), col])
+                for name, col in built.items()
+            }
             self.row.update(zip(new.tolist(), at.tolist()))
         return rows
-
-    def _append(self, size: int, built: dict[str, np.ndarray]) -> None:
-        if not self.cols:
-            self.cols = built
-            return
-        end = size + len(built["q_det"])
-        if end > len(self.cols["q_det"]):
-            capacity = max(end, 2 * len(self.cols["q_det"]))
-            for name, col in self.cols.items():
-                grown = np.empty((capacity,) + col.shape[1:], dtype=col.dtype)
-                grown[:size] = col[:size]
-                self.cols[name] = grown
-        for name, col in self.cols.items():
-            col[size:end] = built[name]
 
 
 class _InstrumentPlan:
@@ -267,9 +261,7 @@ class _InstrumentPlan:
         tables = _STUDY_TABLES.get()
         if tables is None:  # outside a study every plan starts empty
             tables = {}
-        if (basis, design) not in tables:
-            tables[basis, design] = _KeyTable(basis, design)
-        self.table = tables[basis, design]
+        self.table = tables.setdefault((basis, design), _KeyTable(basis, design))
         self.rows = self.table.rows(keys)
         self.cell_row = self.rows[key_of_cell]  # the table row of each cell
 
@@ -352,12 +344,14 @@ def _fit_iv(
 def _validate_inputs(data: ExperimentData, design: SaturationDesign) -> None:
     if not design.interior_saturations:
         raise ValidationError("design has no interior saturation; effects not identified")
-    valid = np.asarray(design.saturations)
-    sats = data.group_saturation
-    off = np.abs(sats[:, None] - valid[None, :]).min(axis=1) > 1e-9
-    if off.any():
-        g = data.groups[int(np.argmax(off))]
-        raise ValidationError(f"group {g.group_id}: saturation {g.saturation} not in the design")
+    sats, valid = data.group_saturation, np.asarray(design.saturations)
+    nearest = np.abs(sats[:, None] - valid[None, :]).argmin(axis=1)
+    off = np.abs(sats - valid[nearest]) > 1e-9
+    empty = np.asarray(design.weights)[nearest] == 0.0  # a saturation no group can get
+    for bad, why in ((off, "not in the design"), (empty, "has weight 0 in the design")):
+        if bad.any():
+            g = data.groups[int(np.argmax(bad))]
+            raise ValidationError(f"group {g.group_id}: saturation {g.saturation} {why}")
 
 
 def _core_rsiv(

@@ -17,12 +17,32 @@ from . import dgp, estimator
 from .dgp import SimConfig
 from .effects import Z_95
 from .errors import SingularSystemError, ValidationError
+from .estimator import TARGET_COMPLIER_THETA, TARGET_JOINT, TARGET_NAIVE, TARGET_NEVER_TAKER
 from .io import per_replication_csv_lines  # noqa: F401  criterion 11 imports it from here
 from .model import LABEL_COMPLIER, LABEL_NEVER_TAKER, LABEL_POPULATION, linear_basis
 from .streams import replication_seed
 
+# Each row, in the order a replication records them: its estimate (target,
+# coefficient) and its oracle truth (sub-population, mean block, entry).  Naive
+# rows are measured against the causal truths, so their coverage reflects the
+# bias of the naive estimands for the spillover terms.
+_ROWS = {
+    "alpha": (TARGET_JOINT, 0, LABEL_POPULATION, "theta_mean", 0),
+    "gamma": (TARGET_JOINT, 1, LABEL_POPULATION, "theta_mean", 1),
+    "beta_c": (TARGET_JOINT, 2, LABEL_COMPLIER, "contrast_mean", 0),
+    "delta_c": (TARGET_JOINT, 3, LABEL_COMPLIER, "contrast_mean", 1),
+    "alpha_n": (TARGET_NEVER_TAKER, 0, LABEL_NEVER_TAKER, "theta_mean", 0),
+    "gamma_n": (TARGET_NEVER_TAKER, 1, LABEL_NEVER_TAKER, "theta_mean", 1),
+    "alpha_c": (TARGET_COMPLIER_THETA, 0, LABEL_COMPLIER, "theta_mean", 0),
+    "gamma_c": (TARGET_COMPLIER_THETA, 1, LABEL_COMPLIER, "theta_mean", 1),
+    "naive_alpha": (TARGET_NAIVE, 0, LABEL_POPULATION, "theta_mean", 0),
+    "naive_beta": (TARGET_NAIVE, 1, LABEL_COMPLIER, "contrast_mean", 0),
+    "naive_gamma": (TARGET_NAIVE, 2, LABEL_POPULATION, "theta_mean", 1),
+    "naive_delta": (TARGET_NAIVE, 3, LABEL_COMPLIER, "contrast_mean", 1),
+}
+# the report's order
 RS_ROWS = ("alpha", "gamma", "alpha_n", "gamma_n", "alpha_c", "beta_c", "gamma_c", "delta_c")
-NAIVE_ROWS = ("naive_alpha", "naive_beta", "naive_gamma", "naive_delta")
+NAIVE_ROWS = tuple(name for name, row in _ROWS.items() if row[0] == TARGET_NAIVE)
 
 ESTIMATOR_RS = "rs_iv"
 ESTIMATOR_NAIVE = "naive"
@@ -86,35 +106,14 @@ def config_dict(cfg: SimConfig) -> dict:
 def oracle_truths(
     cfg: SimConfig, estimators=(ESTIMATOR_RS, ESTIMATOR_NAIVE), oracle_draws: int = 10**6
 ) -> dict[str, float]:
-    """Ground-truth parameter values from the brute-force DGP oracle.
-
-    Naive rows are measured against the causal truths (so their coverage
-    reflects the bias of the naive estimands for the spillover terms).
-    """
+    """Ground-truth parameter values from the brute-force DGP oracle: every
+    RS-IV row's, and the naive rows' when ``estimators`` holds naive IV."""
     means = dgp.oracle_subpopulation_means(cfg, oracle_draws)
-    pop = means[LABEL_POPULATION]
-    com = means[LABEL_COMPLIER]
-    nt = means[LABEL_NEVER_TAKER]
-    truths = {
-        "alpha": pop.theta_mean[0],
-        "gamma": pop.theta_mean[1],
-        "alpha_n": nt.theta_mean[0],
-        "gamma_n": nt.theta_mean[1],
-        "alpha_c": com.theta_mean[0],
-        "gamma_c": com.theta_mean[1],
-        "beta_c": com.contrast_mean[0],
-        "delta_c": com.contrast_mean[1],
+    return {
+        name: getattr(means[label], block)[entry]
+        for name, (target, _, label, block, entry) in _ROWS.items()
+        if target != TARGET_NAIVE or ESTIMATOR_NAIVE in estimators
     }
-    if ESTIMATOR_NAIVE in estimators:
-        truths.update(
-            {
-                "naive_alpha": pop.theta_mean[0],
-                "naive_beta": com.contrast_mean[0],
-                "naive_gamma": pop.theta_mean[1],
-                "naive_delta": com.contrast_mean[1],
-            }
-        )
-    return truths
 
 
 def replicate_once(
@@ -123,39 +122,21 @@ def replicate_once(
     """One simulate -> estimate replication, or what made its system singular."""
     rep_cfg = replace(cfg, seed=replication_seed(cfg.seed, rep))
     data = dgp.simulate_experiment(rep_cfg)
-    basis = linear_basis()
-    out: dict[str, tuple[float, float]] = {}
+    res: dict[str, estimator.EstimateResult] = {}
     try:
         if ESTIMATOR_RS in estimators:
             res = estimator.estimate_all(
-                data, basis, cfg.design, pure_control=pure_control, include_naive=False
+                data, linear_basis(), cfg.design, pure_control=pure_control, include_naive=False
             )
-            joint = res[estimator.TARGET_JOINT]
-            nt = res[estimator.TARGET_NEVER_TAKER]
-            ct = res[estimator.TARGET_COMPLIER_THETA]
-            for i, name in enumerate(("alpha", "gamma", "beta_c", "delta_c")):
-                out[name] = (float(joint.coefficients[i]), float(joint.se[i]))
-            for i, name in enumerate(("alpha_n", "gamma_n")):
-                out[name] = (float(nt.coefficients[i]), float(nt.se[i]))
-            for i, name in enumerate(("alpha_c", "gamma_c")):
-                out[name] = (float(ct.coefficients[i]), float(ct.se[i]))
         if ESTIMATOR_NAIVE in estimators:
-            nv = estimator.naive_iv(data)
-            for i, name in enumerate(NAIVE_ROWS):
-                out[name] = (float(nv.coefficients[i]), float(nv.se[i]))
+            res[TARGET_NAIVE] = estimator.naive_iv(data)
     except SingularSystemError as exc:
         return SingularReplication(rep, str(exc), exc.condition_number)
-    return out
-
-
-def _start_worker_tables() -> None:
-    """A pool worker's replications share one table, dropped with the worker."""
-    estimator._STUDY_TABLES.set({})
-
-
-def _worker(args) -> dict[str, tuple[float, float]] | SingularReplication:
-    cfg, rep, estimators, pure_control = args
-    return replicate_once(cfg, rep, estimators, pure_control)
+    return {
+        name: (float(res[target].coefficients[i]), float(res[target].se[i]))
+        for name, (target, i, *_) in _ROWS.items()
+        if target in res
+    }
 
 
 def run_mc(
@@ -180,14 +161,15 @@ def run_mc(
     t0 = time.perf_counter()
     truths = oracle_truths(cfg, estimators, oracle_draws)
 
-    tasks = [(cfg, r, tuple(estimators), pure_control) for r in range(reps)]
+    args = ([cfg] * reps, range(reps), [tuple(estimators)] * reps, [pure_control] * reps)
     # the replications share one table of per-key R^+ per process (estimator._KeyTable)
+    jobs = min(jobs, reps)  # a fork pool starts all its workers at the first task
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker_tables) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=max(1, reps // (4 * jobs))))
+        with ProcessPoolExecutor(jobs, initializer=estimator._start_study_tables) as pool:
+            results = list(pool.map(replicate_once, *args, chunksize=max(1, reps // (4 * jobs))))
     else:
         with estimator._study_tables():
-            results = [_worker(t) for t in tasks]
+            results = list(map(replicate_once, *args))
 
     singular = [r for r in results if isinstance(r, SingularReplication)]
     results = [None if isinstance(r, SingularReplication) else r for r in results]

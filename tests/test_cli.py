@@ -343,6 +343,17 @@ class TestErrorPaths:
     def test_unknown_flag(self, config_path, capsys):
         assert main(["validate-design", "--config", config_path, "--bogus"]) == 1
 
+    def test_zero_weight_saturation_exit_code(self, config_path, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(data)]) == 0
+        cfg = json.loads(open(config_path).read())
+        cfg["design"]["counts"] = [0, 6, 6, 6, 6]  # the simulated data has pure-control groups
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(zero), "--data", str(data), "--target", "joint"]) == 1
+        assert "saturation 0.0 has weight 0 in the design" in capsys.readouterr().err
+
     def test_singular_system_exit_code(self, config_path, tmp_path):
         # no taker anywhere: the complier-psi system is exactly singular
         rows = ["group_id,saturation,z,d,y"]

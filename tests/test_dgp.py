@@ -645,6 +645,13 @@ class TestOracle:
 
 
 class TestExperimentDataValidation:
+    def test_repeated_group_id_refused(self):
+        # a CSV round trip would pool the two groups into one cluster
+        g = GroupData(3, 0.5, np.array([1, 0]), np.array([1, 0]), np.zeros(2))
+        other = GroupData(4, 0.5, np.array([0, 1]), np.array([0, 0]), np.ones(2))
+        with pytest.raises(ValidationError, match="^group 3: id repeated; ids must be unique$"):
+            ExperimentData([g, other, g])
+
     def test_one_sided_violation(self):
         with pytest.raises(ValidationError):
             GroupData(

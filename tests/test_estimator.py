@@ -611,36 +611,75 @@ def _estimate_bytes(res: EstimateResult) -> tuple:
     return (res.coefficients.tobytes(), res.vcov.tobytes(), repr(res.diagnostics))
 
 
+def _assert_sorts_like(order: np.ndarray, ref: np.ndarray, key: np.ndarray, y: np.ndarray):
+    """``order`` is a permutation that sorts the rows as the lexsort ``ref``
+    does: the same keys, and by value the same y.  Rows of equal y, -0.0
+    beside 0.0 among them, may take any order within a key."""
+    assert np.array_equal(np.sort(order), np.arange(len(y)))
+    assert np.array_equal(key[order], key[ref])
+    assert np.array_equal(y[order], y[ref], equal_nan=True)
+
+
 class TestCanonicalOrder:
-    """Every estimator sums rows sorted by (group, z, d, y), ties in data order."""
+    """Every estimator sums rows sorted by (group, z, d, y), equal y in any order."""
 
     @settings(max_examples=60, deadline=None)
     @given(groups=_tied_groups())
     def test_rows_follow_lexsort(self, groups):
         data = ExperimentData(groups)
+        order = _canonical_order(data.cell_key, data.y)
         ref = np.lexsort((data.y, data.d, data.z, data.group_index))
-        assert np.array_equal(_canonical_order(data.cell_key, data.y), ref)
+        _assert_sorts_like(order, ref, data.cell_key, data.y)
         n_per_row = np.repeat(data.sizes, data.sizes).astype(float)
         for cells in (data.cells, data.latent_cells):
-            row = cells.row_cell[ref]
+            row = cells.row_cell[order]
             for name, per_row in (("z", data.z), ("d", data.d),
                                   ("saturation", data.saturation), ("n", n_per_row)):
                 # bytes, so that a swap of -0.0 and 0.0 shows
-                assert getattr(cells, name)[row].tobytes() == per_row[ref].tobytes(), name
-            assert np.array_equal(cells.group[row], data.group_index[ref])
+                assert getattr(cells, name)[row].tobytes() == per_row[order].tobytes(), name
+            assert np.array_equal(cells.group[row], data.group_index[order])
             assert np.array_equal(cells.count, np.bincount(cells.row_cell))
-            # the rows cell by cell, each cell's in the canonical order
-            by_cell = ref[np.argsort(row, kind="stable")]
-            assert cells.y.tobytes() == data.y[by_cell].tobytes()
+            # the rows cell by cell, each cell's sorted by y
+            by_cell = order[np.argsort(row, kind="stable")]
+            assert np.array_equal(cells.y, data.y[by_cell])
             assert np.array_equal(cells.rows(cells.group), data.group_index[by_cell])
-        # (group, z, d) cells hold their rows in exactly the canonical order
-        assert data.cells.y.tobytes() == data.y[ref].tobytes()
+        # (group, z, d) cells hold their rows in exactly the order returned
+        assert data.cells.y.tobytes() == data.y[order].tobytes()
         # tied rows differ in their true neighbor share
         cbar = np.concatenate(
             [(g.complier.sum() - g.complier) / (g.n - 1) for g in data.groups]
         )
         latent = data.latent_cells
         assert latent.cbar_true[latent.row_cell].tobytes() == cbar.tobytes()
+
+    def test_order_within_groups_keeps_bytes(self):
+        # binary y, as the paper's employment outcome, and a cell with -0.0 and 0.0
+        cfg = noisy_sec6_config(seed=11)
+        data = simulate_experiment(cfg)
+        y = [(g.y > 0.6).astype(float) for g in data.groups]
+        zeros = np.flatnonzero((y[0] == 0.0) & (data.groups[0].z == 0))  # one (0, 0) cell
+        assert len(zeros) >= 2
+        y[0][zeros[0]] = -0.0
+        rng = np.random.default_rng(0)
+
+        def dataset(permute: bool) -> ExperimentData:
+            groups = []
+            for g, gy in zip(data.groups, y):
+                p = rng.permutation(g.n) if permute else np.arange(g.n)
+                groups.append(GroupData(g.group_id, g.saturation, g.z[p], g.d[p], gy[p],
+                                        complier=g.complier[p]))
+            return ExperimentData(groups)
+
+        def outputs(d: ExperimentData) -> list:
+            out = [_estimate_bytes(naive_iv(d)), repr(ior_test(d))]
+            for pure_control in ("gmm", "drop"):
+                for chat_policy in ("estimate", "oracle"):
+                    res = estimate_all(d, LIN, cfg.design, pure_control=pure_control,
+                                       chat_policy=chat_policy, include_naive=False)
+                    out += [(k, _estimate_bytes(v)) for k, v in res.items()]
+            return out
+
+        assert outputs(dataset(True)) == outputs(dataset(False))
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -694,12 +733,12 @@ class TestRowOrderKeyWidth:
         )
         assert np.min_scalar_type(data.cell_key.max()) == width
         ref = np.lexsort((data.y, data.d, data.z, data.group_index))
-        assert np.array_equal(_canonical_order(data.cell_key, data.y), ref)
+        _assert_sorts_like(_canonical_order(data.cell_key, data.y), ref, data.cell_key, data.y)
 
 
 class TestRowOrderYTies:
-    """``_canonical_order`` gives the four-key lexsort's permutation when y has ties,
-    -0.0 beside 0.0 or nan: such rows keep their data order."""
+    """``_canonical_order`` sorts as the four-key lexsort does when y has ties,
+    -0.0 beside 0.0 or nan, and the cells hold y in the order it returns."""
 
     @staticmethod
     def _data(y: np.ndarray) -> ExperimentData:
@@ -711,26 +750,24 @@ class TestRowOrderYTies:
         groups = [GroupData(g, 0.5, z[g], d[g], y[4 * g: 4 * g + 4]) for g in range(G)]
         return ExperimentData(groups, check=False)  # validation rejects a nan y
 
-    @staticmethod
-    def _lexsort(data: ExperimentData) -> np.ndarray:
-        return np.lexsort((data.y, data.d, data.z, data.group_index))
-
     @pytest.mark.parametrize("case", ["ties", "signed-zeros", "nan"])
-    def test_ties_keep_data_order(self, case):
+    def test_ties_sort_like_lexsort(self, case):
         y = np.random.default_rng(3).normal(size=4000)
         if case == "ties":
             y = np.round(y, 1)
         elif case == "signed-zeros":
-            y[:4] = (0.0, -0.0, 0.0, -0.0)  # equal y in one cell, kept in data order
+            y[:4] = (0.0, -0.0, 0.0, -0.0)  # equal y in one cell
         else:
             y[[5, 17, 2000]] = np.nan
         data = self._data(y)
-        assert np.array_equal(_canonical_order(data.cell_key, data.y), self._lexsort(data))
-        assert data.cells.y.tobytes() == data.y[self._lexsort(data)].tobytes()
+        order = _canonical_order(data.cell_key, data.y)
+        ref = np.lexsort((data.y, data.d, data.z, data.group_index))
+        _assert_sorts_like(order, ref, data.cell_key, data.y)
+        assert data.cells.y.tobytes() == data.y[order].tobytes()
 
 
 class TestRowOrderDirect:
-    """``_canonical_order`` is ``np.lexsort((y, key))`` index for index on the
+    """``_canonical_order`` sorts as ``np.lexsort((y, key))`` does on the
     outcomes that tie most: binary y, y rounded to 0.1 (which holds -0.0 and
     0.0) and y with nans."""
 
@@ -747,8 +784,8 @@ class TestRowOrderDirect:
             y[:2] = (-0.0, 0.0)
         else:
             y[rng.random(N) < 0.2] = np.nan
-            y[:2] = np.nan  # adjacent nans in data order
-        assert np.array_equal(_canonical_order(key, y), np.lexsort((y, key)))
+            y[:2] = np.nan  # adjacent nans
+        _assert_sorts_like(_canonical_order(key, y), np.lexsort((y, key)), key, y)
 
 
 class TestValidationErrors:
@@ -764,6 +801,14 @@ class TestValidationErrors:
         other = SaturationDesign.from_probs((0.1, 0.9), (0.5, 0.5))
         with pytest.raises(ValidationError):
             rsiv_estimate(data, LIN, other, TARGET_JOINT)
+
+    def test_zero_weight_saturation_refused(self):
+        data = simulate_experiment(noisy_sec6_config())  # 47 groups at each saturation
+        design = SaturationDesign.from_counts((0.0, 0.25, 0.5, 0.75, 1.0), (0, 47, 47, 47, 47))
+        gid = next(g.group_id for g in data.groups if g.saturation == 0.0)
+        match = rf"^group {gid}: saturation 0.0 has weight 0 in the design$"
+        with pytest.raises(ValidationError, match=match):
+            estimate_all(data, LIN, design)
 
     def test_first_off_design_group_named(self):
         groups = simulate_experiment(noiseless_config(seed=3)).groups[::-1]

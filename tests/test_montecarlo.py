@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sativ import estimator, moments
+from sativ import estimator, moments, montecarlo
 from sativ.design import SaturationDesign
 from sativ.dgp import SimConfig, simulate_experiment
 from sativ.errors import ValidationError
@@ -115,6 +115,30 @@ class TestDeterminism:
         r2 = run_mc(cfg, reps=6, jobs=3, oracle_draws=10**5)
         assert report_to_json(r1) == report_to_json(r2)
         assert list(per_replication_csv_lines(r1)) == list(per_replication_csv_lines(r2))
+
+    def test_at_most_one_worker_per_replication(self, monkeypatch):
+        # a fork pool starts every worker at the first task, so 500 jobs for 2
+        # replications would fork 500 processes; this pool starts none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(seed=17)
+        report = run_mc(cfg, reps=2, jobs=500, oracle_draws=10**5)
+        assert sizes == [2]
+        assert report_to_json(report) == report_to_json(run_mc(cfg, reps=2, oracle_draws=10**5))
 
     def test_replication_depends_only_on_index(self):
         cfg = small_config(seed=17)
