@@ -18,7 +18,7 @@ from pathlib import Path
 from . import dgp, effects, estimator, montecarlo
 from .design import SaturationDesign, validate_design
 from .dgp import SimConfig
-from .errors import SingularSystemError, ValidationError, as_integer
+from .errors import SingularSystemError, ValidationError, as_integer, as_seed
 from .io import per_replication_csv_lines, write_curves_csv, write_data_csv, write_latent_csv
 from .model import basis_by_name
 
@@ -55,10 +55,20 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key would otherwise keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
     except UnicodeDecodeError:
@@ -114,13 +124,6 @@ def _numbers(value, source: str) -> tuple:
     return tuple(value)
 
 
-def _seed(value):
-    """sim.seed: a nonnegative integer or a list of them, numpy's SeedSequence entropy."""
-    if isinstance(value, list):
-        return tuple(as_integer(v, "sim.seed entry", 0) for v in value)
-    return as_integer(value, "sim.seed", 0)
-
-
 def simconfig_from_config(cfg: dict) -> SimConfig:
     block = cfg.get("sim")
     if block is None:
@@ -133,7 +136,7 @@ def simconfig_from_config(cfg: dict) -> SimConfig:
             n=as_integer(block["n"], "sim.n", 2),
             design=design,
             means=_numbers(block["means"], "sim.means"),
-            seed=_seed(block.get("seed", 0)),
+            seed=as_seed(block.get("seed", 0), "sim.seed"),
         )
     except KeyError as exc:
         raise ValidationError(f"sim block is missing {exc}") from None
@@ -345,11 +348,7 @@ def _cmd_validate_design(args) -> int:
     design = design_from_config(cfg)
     basis = basis_from_config(cfg)
     diag = validate_design(design, basis)
-    payload = asdict(diag)
-    payload["per_saturation_counts"] = (
-        list(diag.per_saturation_counts) if diag.per_saturation_counts else None
-    )
-    _emit(payload, args.out)
+    _emit(asdict(diag), args.out)
     return 0
 
 

@@ -45,8 +45,18 @@ class SaturationDesign:
             raise ValidationError("weights must be nonnegative")
         if not abs(sum(self.weights) - 1.0) <= _WEIGHT_TOL:
             raise ValidationError("weights must sum to 1 within 1e-12")
-        if self.counts is not None and len(self.counts) != len(self.saturations):
-            raise ValidationError("counts and saturations must align")
+        if self.counts is not None:
+            counts = tuple(as_integer(c, "design count", 0) for c in self.counts)
+            if len(counts) != len(self.saturations):
+                raise ValidationError("counts and saturations must align")
+            total = sum(counts)
+            if total <= 0:
+                raise ValidationError("counts must sum to a positive number of groups")
+            if not all(abs(c / total - w) <= _WEIGHT_TOL for c, w in zip(counts, self.weights)):
+                raise ValidationError(
+                    f"weights {self.weights} are not the shares of counts {counts}"
+                )
+            object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_probs(cls, saturations, probs) -> "SaturationDesign":

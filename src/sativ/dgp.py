@@ -19,7 +19,7 @@ import numpy as np
 
 from . import design as design_mod
 from .design import SaturationDesign
-from .errors import ValidationError, as_integer
+from .errors import ValidationError, as_integer, as_seed
 from .model import (
     LABEL_COMPLIER,
     LABEL_NEVER_TAKER,
@@ -49,6 +49,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("G", "n"):  # an integral float such as 10.0 is stored as the int
             object.__setattr__(self, name, as_integer(getattr(self, name), name, 2))
+        object.__setattr__(self, "seed", as_seed(self.seed, "seed"))
         for name in ("means", "kappa", "sigma"):
             if len(getattr(self, name)) != 4:
                 raise ValidationError(f"{name} must have four entries (alpha,beta,gamma,delta)")
@@ -405,8 +406,8 @@ class ExperimentData:
         return any(g.saturation == 0.0 for g in self.groups)
 
 
-def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
-    """Simulate groups of size cfg.n, each from its own (cfg.seed, group id) stream.
+def _simulate_groups(cfg: SimConfig, streams, group_ids, saturations) -> list[GroupData]:
+    """Simulate groups of size cfg.n, each from its own generator in ``streams``.
 
     Per group the stream gives, in this order: the share draw, the complier
     positions (``permutation(n)``'s draws: a shuffle of 0..n-1), the offers
@@ -428,7 +429,6 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
     z[...] = (sats == 1.0)[:, None]  # s = 0 and s = 1 draw no offers
     offer_u = np.empty(n)
     u = np.empty((n_groups, len(noisy), n))
-    streams = substreams(cfg.seed, TAG_GROUP, ids=group_ids)
     for r, (rng, s) in enumerate(zip(streams, sats)):
         share_u[r] = rng.random()
         rng.shuffle(perm[r])
@@ -465,17 +465,19 @@ def _simulate_groups(cfg: SimConfig, group_ids, saturations) -> list[GroupData]:
 
 def simulate_group(cfg: SimConfig, group_id: int, saturation: float) -> GroupData:
     """Simulate one group; reproducible from (cfg.seed, group_id) alone."""
-    return _simulate_groups(cfg, [group_id], [saturation])[0]
+    rng = substream(cfg.seed, TAG_GROUP, group_id)
+    return _simulate_groups(cfg, [rng], [group_id], [saturation])[0]
 
 
 def simulate_experiment(cfg: SimConfig) -> ExperimentData:
     """Simulate the full experiment: saturations, compliers, offers, outcomes."""
     rng_sat = substream(cfg.seed, TAG_SATURATIONS)
     saturations = design_mod.sample_saturations(cfg.design, cfg.G, rng_sat)
-    return ExperimentData(_simulate_groups(cfg, range(cfg.G), saturations), check=False)
+    streams = substreams(cfg.seed, TAG_GROUP, count=cfg.G)
+    return ExperimentData(_simulate_groups(cfg, streams, range(cfg.G), saturations), check=False)
 
 
-def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
+def _oracle_sums(cfg: SimConfig, n_draws: int):
     """The oracle's draws for i.i.d. individuals, summed per latent state.
 
     An individual's state is its group's support point j and its own complier
@@ -494,7 +496,7 @@ def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
     """
     if n_draws < 10**5:
         raise ValidationError("oracle needs at least 1e5 draws")
-    rng = substream(cfg.seed if seed is None else seed, TAG_ORACLE)
+    rng = substream(cfg.seed, TAG_ORACLE)
     counts = np.asarray(cfg.complier_counts)
     n_keys = 2 * len(counts)
     blocks = [slice(a, min(a + ORACLE_BLOCK, n_draws)) for a in range(0, n_draws, ORACLE_BLOCK)]
@@ -532,16 +534,14 @@ def _oracle_sums(cfg: SimConfig, n_draws: int, seed: Seed | None):
     return n_k, cbar, sums
 
 
-def oracle_subpopulation_means(
-    cfg: SimConfig, n_draws: int = 10**6, seed: Seed | None = None
-) -> dict[str, MeanCoefficients]:
+def oracle_subpopulation_means(cfg: SimConfig, n_draws: int = 10**6) -> dict[str, MeanCoefficients]:
     """Brute-force average coefficients for {population, compliers, never-takers}.
 
     These are the ground-truth targets for the estimator bias checks.  Each
     mean is a sum of per-key coefficient sums over its keys (odd keys are the
     compliers', even ones the never-takers').  An empty subpopulation raises.
     """
-    n_k, _, sums = _oracle_sums(cfg, n_draws, seed)
+    n_k, _, sums = _oracle_sums(cfg, n_draws)
     n_c = n_k[1::2].sum()
     for label, count in ((LABEL_COMPLIER, n_c), (LABEL_NEVER_TAKER, n_draws - n_c)):
         if count == 0:
@@ -560,9 +560,7 @@ def oracle_subpopulation_means(
     }
 
 
-def oracle_naive_iv_estimands(
-    cfg: SimConfig, n_draws: int = 10**6, seed: Seed | None = None
-) -> np.ndarray:
+def oracle_naive_iv_estimands(cfg: SimConfig, n_draws: int = 10**6) -> np.ndarray:
     """The four naive-IV probability limits, evaluated by simulation:
 
     alpha_IV = E[alpha],              beta_IV  = E[C beta] / E[C],
@@ -574,7 +572,7 @@ def oracle_naive_iv_estimands(
     complier has a complier neighbour (n = 2 with one complier per group),
     E[C] = E[Cbar] = 0 without compliers.
     """
-    n_k, cbar, sums = _oracle_sums(cfg, n_draws, seed)
+    n_k, cbar, sums = _oracle_sums(cfg, n_draws)
     c = np.resize([0.0, 1.0], len(cbar))  # each key's own complier flag
     weights = {"1": np.ones_like(c), "E[C]": c, "E[Cbar]": cbar, "E[C Cbar]": c * cbar}
     w = np.stack(list(weights.values()))

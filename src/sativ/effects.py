@@ -19,7 +19,7 @@ from .estimator import (
     TARGET_POPULATION,
     EstimateResult,
 )
-from .model import BasisSpec
+from .model import BasisSpec, linear_basis
 
 Z_95 = 1.959963984540054
 
@@ -132,8 +132,6 @@ def effect_curve(
     raises ``ValidationError``.
     """
     if basis is None:
-        from .model import linear_basis
-
         basis = linear_basis()
     if grid is None:
         grid = default_grid()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check that raises one.
+"""Exception types shared across the package, and the integer and seed checks that raise one.
 
 The CLI maps ``ValidationError`` and file errors to exit code 1 and
 ``SingularSystemError`` to exit code 2; everything else is a bug.
@@ -29,3 +29,11 @@ def as_integer(value, source: str, minimum: int) -> int:
     if isinstance(value, bool) or not integral or value < minimum:
         raise ValidationError(f"{source} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
+
+
+def as_seed(value, source: str) -> int | tuple[int, ...]:
+    """A random seed, numpy's ``SeedSequence`` entropy: a nonnegative integer, or a
+    list or tuple of them, stored as a tuple; each is checked by ``as_integer``."""
+    if isinstance(value, (list, tuple)):
+        return tuple(as_integer(v, f"{source} entry", 0) for v in value)
+    return as_integer(value, source, 0)

@@ -381,10 +381,6 @@ def _core_pure_control(
     zmat = np.zeros((len(cells.count), p + 1))
     zmat[pos, :p] = plan.zhat(target, w[pos])
     zmat[~pos, p] = 1.0
-    yv = cells.y
-    if target == TARGET_POPULATION:
-        x = (1.0 - cells.z)[:, None] * x
-        yv = cells.rows(1.0 - cells.z) * yv
     diag = plan.diagnostics(target, "gmm")
     # the first stage, Xhat = Z (Z'Z)^{-1} Z'X; the 2SLS fit is IV on Xhat
     z_rows = cells.rows(zmat)
@@ -393,7 +389,7 @@ def _core_pure_control(
     zx = z_rows.T @ cells.rows(x)
     del z_rows  # before _fit_iv makes its own row copies
     xhat = zmat @ np.linalg.solve(zz, zx)
-    return _fit_iv(cells, x, xhat, yv, target, diag)
+    return _fit_iv(cells, x, xhat, cells.y, target, diag)
 
 
 # ---------------------------------------------------------------------------

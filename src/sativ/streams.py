@@ -5,19 +5,19 @@ Every random draw in the package flows through a stream addressed by a
 the root seed and its index, independent of evaluation order or the number
 of worker processes.  Built on ``numpy.random.SeedSequence`` spawn keys.
 
-``substreams`` gives the streams of many addresses that differ only in their
-last index, such as one per group of a dataset.  It derives them in one
+``substreams`` gives the streams of the addresses ``(seed, *path, i)`` for
+i = 0..count-1, one per group index of a dataset.  It derives them in one
 vectorized pass instead of one ``SeedSequence`` and ``PCG64`` per address:
 numpy's ``SeedSequence`` entropy mixing and ``generate_state(4, uint64)``,
-run on ``uint32`` columns with one entry per index, then ``PCG64``'s seeding
-of its 128-bit state from those four words.  The words before the index are
-the same for every address, so they are mixed once.  The tests pin each
-state to ``np.random.PCG64(np.random.SeedSequence(...)).state``.
+run on a ``uint32`` column with one entry per index (each index is one
+word), then ``PCG64``'s seeding of its 128-bit state from those four words.
+The words before the index are the same for every address, so they are
+mixed once.  The tests pin each state to
+``np.random.PCG64(np.random.SeedSequence(...)).state``.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -54,18 +54,15 @@ def substream(seed: Seed, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=path))
 
 
-def substreams(seed: Seed, *path: int, ids: Sequence[int]) -> Iterator[np.random.Generator]:
-    """An iterator over the generators at ``(seed, *path, i)`` for each ``i`` in ``ids``.
+def substreams(seed: Seed, *path: int, count: int) -> Iterator[np.random.Generator]:
+    """An iterator over the generators at ``(seed, *path, i)`` for i = 0..count-1.
 
     Each gives the stream ``substream(seed, *path, i)`` gives.  One
     generator is reused, its state set per address, so a generator from
-    the iterator is valid only until the next one is requested.  A single
-    id goes through ``substream``, which is faster for one address than
-    the vectorized pass.  ``ids`` must be integers in [0, 2**64).
+    the iterator is valid only until the next one is requested.  ``count``
+    must lie in [0, 2**32], so that each index is one uint32 word.
     """
-    if len(ids) <= 1:
-        return iter([substream(seed, *path, i) for i in ids])
-    return _reseeded(_pcg64_seed_words(seed, path, ids))
+    return _reseeded(_pcg64_seed_words(seed, path, count))
 
 
 def _reseeded(words: np.ndarray) -> Iterator[np.random.Generator]:
@@ -119,24 +116,19 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _pcg64_seed_words(seed: Seed, path: tuple[int, ...], ids: Sequence[int]) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(*path, i)).generate_state(4, np.uint64)`` per id.
+def _pcg64_seed_words(seed: Seed, path: tuple[int, ...], count: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(*path, i)).generate_state(4, np.uint64)`` for
+    i = 0..count-1.
 
-    Returns a (len(ids), 4) uint64 array: PCG64's initial state (high, low
+    Returns a (count, 4) uint64 array: PCG64's initial state (high, low
     word) and its stream selector (high, low word).
     """
-    array = np.asarray(ids)
-    if array.dtype.kind not in "iu":
-        # Python ints beyond int64 come as float or object arrays; this
-        # raises OverflowError outside [0, 2**64) and TypeError for a non-integer
-        array = np.array([operator.index(i) for i in ids], dtype=np.uint64)
-    if array.size and array.min() < 0:
-        raise ValueError("expected non-negative integer")
-    ids = array.astype(np.uint64)
+    if not 0 <= count <= 2**32:
+        raise ValueError(f"count must lie in [0, 2**32], got {count}")
 
     # The assembled entropy is the seed's words, zero-padded to the pool
     # size because the spawn key is not empty, then the path's words, then
-    # the id's one or two words.  Everything before the id is mixed once,
+    # the index's one word.  Everything before the index is mixed once,
     # in Python ints: the pool words and the running hash constant.
     run = [w for x in ([seed] if isinstance(seed, int) else seed) for w in _int_words(x)]
     prefix = run + [0] * (_POOL_SIZE - len(run)) + [w for x in path for w in _int_words(x)]
@@ -155,30 +147,18 @@ def _pcg64_seed_words(seed: Seed, path: tuple[int, ...], ids: Sequence[int]) -> 
             value, const = _hashmix(word, const)
             pool[i_dst] = _mix(pool[i_dst], value)
 
-    out = np.empty((len(ids), 4), dtype=np.uint64)
-    high = ids >> np.uint64(32)
-    two_words = high > 0
-    for rows, id_words in (
-        (~two_words, [ids]),
-        (two_words, [ids & np.uint64(_MASK32), high]),
-    ):
-        if not rows.any():
-            continue
-        mixed = [np.full(rows.sum(), p, dtype=np.uint32) for p in pool]
-        c = const
-        for word in id_words:
-            word = word[rows].astype(np.uint32)
-            for i_dst in range(_POOL_SIZE):
-                value, c = _hashmix(word, c)
-                mixed[i_dst] = _mix(mixed[i_dst], value)
-        # generate_state: eight uint32 words cycling over the pool, read
-        # as four little-endian uint64 words
-        state = np.empty((rows.sum(), 8), dtype=np.uint32)
-        c = _INIT_B
-        for i_dst in range(8):
-            value = mixed[i_dst % _POOL_SIZE] ^ c
-            c = c * _MULT_B & _MASK32
-            value *= c
-            state[:, i_dst] = value ^ (value >> _XSHIFT)
-        out[rows] = state.astype("<u4").view("<u8")
-    return out
+    index = np.arange(count, dtype=np.uint32)
+    mixed = [np.full(count, p, dtype=np.uint32) for p in pool]
+    for i_dst in range(_POOL_SIZE):
+        value, const = _hashmix(index, const)
+        mixed[i_dst] = _mix(mixed[i_dst], value)
+    # generate_state: eight uint32 words cycling over the pool, read
+    # as four little-endian uint64 words
+    state = np.empty((count, 8), dtype=np.uint32)
+    c = _INIT_B
+    for i_dst in range(8):
+        value = mixed[i_dst % _POOL_SIZE] ^ c
+        c = c * _MULT_B & _MASK32
+        value *= c
+        state[:, i_dst] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8")

@@ -336,6 +336,23 @@ class TestErrorPaths:
         assert code == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, repeat, key",
+        [('"G": 235,', '"G": 10,', "G"), ('"basis": "linear",', '"basis": "quadratic",', "basis"),
+         ('"jobs": 4', '"jobs": 1,', "jobs")],
+        ids=["sim", "top-level", "mc"],
+    )
+    def test_repeated_config_key_refused(self, tmp_path, capsys, line, repeat, key):
+        # json.load keeps a repeated key's last value and drops the first
+        text = (Path(__file__).parents[1] / "configs" / "sec6.json").read_text(encoding="utf-8")
+        assert text.count(line) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace(line, f"{repeat}\n{line}"), encoding="utf-8")
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config repeats the key {key!r}\n"
+        assert not out.exists()
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err.lower()

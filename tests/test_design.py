@@ -55,6 +55,27 @@ class TestSaturationDesign:
         ):
             SaturationDesign.from_counts((0.25, 0.75), (count, 47))
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((1, 9), r"^weights \(0.5, 0.5\) are not the shares of counts \(1, 9\)$"),
+            ((True, False), r"^design count must be an integer of at least 0, got True$"),
+            ((-3, 13), r"^design count must be an integer of at least 0, got -3$"),
+            ((2.5, 7.5), r"^design count must be an integer of at least 0, got 2.5$"),
+            ((0, 0), r"^counts must sum to a positive number of groups$"),
+        ],
+        ids=["disagree", "bools", "negative", "fractions", "zero-total"],
+    )
+    def test_direct_counts_must_match_weights(self, counts, message):
+        # sample_saturations assigns the counts while every Q table weighs the
+        # weights, so counts that are not the weights' groups are refused
+        with pytest.raises(ValidationError, match=message):
+            SaturationDesign((0.25, 0.5), (0.5, 0.5), counts)
+
+    def test_direct_counts_that_match_weights_accepted(self):
+        dsn = SaturationDesign((0.25, 0.5), (0.1, 0.9), (1.0, np.int64(9)))
+        assert dsn.counts == (1, 9) and dsn == SaturationDesign.from_counts((0.25, 0.5), (1, 9))
+
     def test_integral_counts_accepted(self):
         # a JSON count may be written 47.0, and numpy integers are integers
         dsn = SaturationDesign.from_counts((0.25, 0.75), (47.0, np.int64(3)))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,28 @@ class TestSimConfig:
         cfg = homogeneous_config(G=50.0, n=np.int64(20))
         assert (type(cfg.G), type(cfg.n)) == (int, int)
         assert cfg == homogeneous_config()
+
+    @pytest.mark.parametrize(
+        "seed, source, bad",
+        [(True, "seed", True), (-1, "seed", -1), (1.5, "seed", 1.5), ("7", "seed", "7"),
+         ((1, -2), "seed entry", -2), ([3, False], "seed entry", False)],
+        ids=["bool", "negative", "fraction", "string", "tuple-negative", "list-bool"],
+    )
+    def test_seed_checked_at_construction(self, seed, source, bad):
+        # before, numpy refused these only at the first draw, or (True) drew as seed 1
+        with pytest.raises(
+            ValidationError, match=rf"^{source} must be an integer of at least 0, got {bad!r}$"
+        ):
+            homogeneous_config(seed=seed)
+
+    def test_seed_stored_as_int_or_tuple(self):
+        # a list seed is stored as a tuple and an integral float as the int;
+        # both draw what the stored form draws
+        assert homogeneous_config(seed=[11, 3.0]).seed == (11, 3)
+        assert homogeneous_config(seed=7.0) == homogeneous_config(seed=7)
+        listed = simulate_experiment(homogeneous_config(seed=[11, 3]))
+        tupled = simulate_experiment(homogeneous_config(seed=(11, 3)))
+        assert np.array_equal(listed.y, tupled.y)
 
     def test_counts_round_to_integers(self):
         # 116 * 0.1 = 11.6 is not realizable; counts snap to nearest integer
@@ -266,7 +289,7 @@ def _assert_key_sums_match_reference(cfg: SimConfig, n_draws: int, seed: int):
     key's draw count N_k exactly, its cbar_k each of its draws' cbar bit for
     bit, and each coefficient's per-key sum S_jk, summed in another order, to
     float64 rounding."""
-    n_k, cbar, sums = _oracle_sums(cfg, n_draws, seed)
+    n_k, cbar, sums = _oracle_sums(replace(cfg, seed=seed), n_draws)
     key, _, ref_cbar, coefs = _reference_oracle_draws(cfg, n_draws, seed)
     n_keys = 2 * len(cfg.complier_shares)
     assert n_k.dtype == np.int64 and cbar.shape == (n_keys,) and sums.shape == (4, n_keys)
@@ -481,14 +504,14 @@ class TestConditionalBinomial:
 class TestOracle:
     def test_independent_case_returns_unconditional_means(self):
         cfg = homogeneous_config(sigma=(0.3, 0.3, 0.2, 0.4), kappa=(0.0, 0.0, 0.0, 0.0))
-        means = oracle_subpopulation_means(cfg, n_draws=4 * 10**5, seed=1)
+        means = oracle_subpopulation_means(replace(cfg, seed=1), n_draws=4 * 10**5)
         for lab in ("population", "complier", "never_taker"):
             assert means[lab].theta_mean[0] == pytest.approx(0.5, abs=0.005)
             assert means[lab].theta_mean[1] == pytest.approx(-0.7, abs=0.005)
 
     def test_sec6_complier_selection_analytic(self):
         # E[share | C=1] = E[share^2] / E[share], so gamma_c > gamma for kappa > 0
-        means = oracle_subpopulation_means(SEC6, n_draws=10**6, seed=2)
+        means = oracle_subpopulation_means(replace(SEC6, seed=2), n_draws=10**6)
         shares = np.asarray(SEC6.realized_shares)
         e1, e2 = shares.mean(), (shares**2).mean()
         mu, sd = SEC6.share_moments
@@ -503,7 +526,7 @@ class TestOracle:
         cfg = homogeneous_config(
             n=20, complier_shares=(0.5,), sigma=(0.3, 0.3, 0.2, 0.4), kappa=(0, 0, 0, 0)
         )
-        means = oracle_subpopulation_means(cfg, n_draws=4 * 10**5, seed=3)
+        means = oracle_subpopulation_means(replace(cfg, seed=3), n_draws=4 * 10**5)
         assert means["complier"].theta_mean[1] == pytest.approx(
             means["never_taker"].theta_mean[1], abs=0.005
         )
@@ -513,7 +536,7 @@ class TestOracle:
             n=20, complier_shares=(0.5,), sigma=(0.3, 0.3, 0.2, 0.4), kappa=(0, 0, 1.2, 0)
         )
         with pytest.raises(ValidationError):
-            oracle_subpopulation_means(cfg, n_draws=10**5, seed=4)
+            oracle_subpopulation_means(replace(cfg, seed=4), n_draws=10**5)
 
     def test_min_draws_enforced(self):
         with pytest.raises(ValidationError):
@@ -523,7 +546,7 @@ class TestOracle:
         # the subpopulation means are sums of per-key sums; a boolean-masked
         # mean of each subpopulation of the reference draws is the reference,
         # to float64 rounding
-        means = oracle_subpopulation_means(SEC6, n_draws=2 * 10**5, seed=6)
+        means = oracle_subpopulation_means(replace(SEC6, seed=6), n_draws=2 * 10**5)
         _, c, _, coefs = _reference_oracle_draws(SEC6, 2 * 10**5, 6)
         assert coefs.shape == (4, 2 * 10**5)
         ref = {
@@ -542,7 +565,7 @@ class TestOracle:
     def test_streamed_rows_match_block_reference(self, case):
         cfg = TestSimulationDigest.config(case)
         _, c, cbar, coefs = _reference_oracle_draws(cfg, 10**5, 8)
-        means = oracle_subpopulation_means(cfg, 10**5, seed=8)
+        means = oracle_subpopulation_means(replace(cfg, seed=8), 10**5)
         total, complier = coefs.sum(axis=1), coefs @ c
         ref = {
             "population": total / 10**5,
@@ -559,7 +582,7 @@ class TestOracle:
             # with n = 2 no complier has a complier neighbour: E[C Cbar] = 0
             assert (c * cbar).sum() == 0.0
             with pytest.raises(ValidationError, match=r"delta_IV .*E\[C Cbar\] = 0"):
-                oracle_naive_iv_estimands(cfg, 10**5, seed=8)
+                oracle_naive_iv_estimands(replace(cfg, seed=8), 10**5)
             return
         naive = [
             coefs[0].mean(),
@@ -567,13 +590,13 @@ class TestOracle:
             (cbar * coefs[2]).mean() / cbar.mean(),
             (c * cbar * coefs[3]).mean() / (c * cbar).mean(),
         ]
-        got = oracle_naive_iv_estimands(cfg, 10**5, seed=8)
+        got = oracle_naive_iv_estimands(replace(cfg, seed=8), 10**5)
         np.testing.assert_allclose(got, naive, rtol=1e-13, atol=0)
 
     def test_naive_estimands_need_compliers(self):
         cfg = homogeneous_config(complier_shares=(0.0,), sigma=(0.3, 0.3, 0.2, 0.4))
         with pytest.raises(ValidationError, match=r"beta_IV .*E\[C\] = 0"):
-            oracle_naive_iv_estimands(cfg, 10**5, seed=9)
+            oracle_naive_iv_estimands(replace(cfg, seed=9), 10**5)
 
     @pytest.mark.parametrize("shares, label", [((0.0,), "complier"), ((1.0,), "never_taker")])
     def test_empty_subpopulation_raises(self, shares, label):
@@ -581,7 +604,7 @@ class TestOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no nan means, and no divide warning on the way
             with pytest.raises(ValidationError, match=f"^{label} means are undefined: no {label} "):
-                oracle_subpopulation_means(cfg, 10**5, seed=9)
+                oracle_subpopulation_means(replace(cfg, seed=9), 10**5)
 
     @pytest.mark.parametrize(
         "n_draws", [10**5, 4 * ORACLE_BLOCK - 1, 4 * ORACLE_BLOCK, 4 * ORACLE_BLOCK + 1]
@@ -621,7 +644,7 @@ class TestOracle:
 
     def test_naive_estimands_match_covariance_formula(self):
         # gamma_IV = gamma + Cov(Cbar, gamma) / E[Cbar]
-        est = oracle_naive_iv_estimands(SEC6, n_draws=10**6, seed=5)
+        est = oracle_naive_iv_estimands(replace(SEC6, seed=5), n_draws=10**6)
         _, sd = SEC6.share_moments
         counts = np.asarray(SEC6.complier_counts)
         p = np.asarray(SEC6.probs)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +285,7 @@ class TestLargeSampleAgreement:
         cfg = noisy_sec6_config(G=2000, seed=100)
         data = simulate_experiment(cfg)
         res = rsiv_estimate(data, LIN, cfg.design, TARGET_JOINT)
-        means = oracle_subpopulation_means(cfg, n_draws=10**6, seed=1000)
+        means = oracle_subpopulation_means(replace(cfg, seed=1000), n_draws=10**6)
         truth = [
             means["population"].theta_mean[0],
             means["population"].theta_mean[1],
@@ -356,8 +357,6 @@ class TestNaiveIV:
 def mixed_size_data(G: int = 2350, seed: int = 8) -> tuple[ExperimentData, SaturationDesign]:
     """The Sec. 6 design at G groups with sizes spread over 20..212, as in the
     pipeline benchmark."""
-    from dataclasses import replace
-
     from sativ.dgp import simulate_group
 
     base = noisy_sec6_config(G=G, seed=seed)
