@@ -5,6 +5,11 @@ Configuration is a JSON file with blocks per subcommand (design, basis, sim,
 estimation, mc); unknown keys are rejected.  Results go to files or stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 validation error or a file
 that cannot be read or written, 2 numerical failure (singular system).
+
+Each command imports the modules it runs when it runs: reading a data CSV
+loads no simulator and no Monte Carlo harness, and simulating loads no
+estimator.  Commands call them through module attributes
+(``estimator.ingest_csv``), so a wrapper set on the module sees every call.
 """
 from __future__ import annotations
 
@@ -15,20 +20,26 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import dgp, effects, estimator, montecarlo
 from .design import SaturationDesign, validate_design
-from .dgp import SimConfig
 from .errors import SingularSystemError, ValidationError, as_integer, as_seed
 from .io import per_replication_csv_lines, write_curves_csv, write_data_csv, write_latent_csv
-from .model import basis_by_name
+from .model import (
+    TARGET_COMPLIER_PSI,
+    TARGET_COMPLIER_THETA,
+    TARGET_JOINT,
+    TARGET_NAIVE,
+    TARGET_NEVER_TAKER,
+    TARGET_POPULATION,
+    basis_by_name,
+)
 
 TARGET_NAMES = {
-    "joint": estimator.TARGET_JOINT,
-    "complier-psi": estimator.TARGET_COMPLIER_PSI,
-    "never-taker": estimator.TARGET_NEVER_TAKER,
-    "population": estimator.TARGET_POPULATION,
-    "complier-theta": estimator.TARGET_COMPLIER_THETA,
-    "naive": estimator.TARGET_NAIVE,
+    "joint": TARGET_JOINT,
+    "complier-psi": TARGET_COMPLIER_PSI,
+    "never-taker": TARGET_NEVER_TAKER,
+    "population": TARGET_POPULATION,
+    "complier-theta": TARGET_COMPLIER_THETA,
+    "naive": TARGET_NAIVE,
 }
 
 _TOP_KEYS = ("design", "basis", "sim", "estimation", "mc")
@@ -103,6 +114,8 @@ def basis_from_config(cfg: dict):
 
 def pure_control_from_config(cfg: dict, flag: str | None = None) -> str:
     """``flag`` if given, else estimation.pure_control (checked either way), else gmm."""
+    from . import estimator
+
     block = cfg.get("estimation", {})
     _check_keys(block, _ESTIMATION_KEYS, "estimation")
     policy = block.get("pure_control", "gmm")
@@ -124,7 +137,9 @@ def _numbers(value, source: str) -> tuple:
     return tuple(value)
 
 
-def simconfig_from_config(cfg: dict) -> SimConfig:
+def simconfig_from_config(cfg: dict):
+    from .dgp import SimConfig
+
     block = cfg.get("sim")
     if block is None:
         raise ValidationError("config is missing the 'sim' block")
@@ -150,7 +165,7 @@ def _finite_or_none(x: float | None):
     return float(x) if x is not None and math.isfinite(x) else None
 
 
-def _fallback_json(diag: estimator.EstimatorDiagnostics) -> dict:
+def _fallback_json(diag) -> dict:
     """The policy that ran and the fallback counts of one estimate."""
     return {
         "pure_control": diag.pure_control,
@@ -173,7 +188,7 @@ def _note_unidentified_vcov(results) -> None:
             )
 
 
-def _result_json(res: estimator.EstimateResult, cfg_echo: dict) -> dict:
+def _result_json(res, cfg_echo: dict) -> dict:
     return {
         "target": res.target,
         "coefficients": [float(v) for v in res.coefficients],
@@ -205,11 +220,13 @@ def _write_meta(out_path: str, cfg_echo: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import dgp
+
     cfg = load_config(args.config)
     sim = simconfig_from_config(cfg)
     data = dgp.simulate_experiment(sim)
     write_data_csv(data, args.out)
-    _write_meta(args.out, montecarlo.config_dict(sim))
+    _write_meta(args.out, dgp.config_dict(sim))
     if args.latent:
         write_latent_csv(data, args.latent)
     print(
@@ -220,6 +237,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import estimator
+
     cfg = load_config(args.config)
     design = design_from_config(cfg)
     basis = basis_from_config(cfg)
@@ -235,6 +254,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_effects(args) -> int:
+    from . import effects, estimator
+
+    if args.delta is None:
+        args.delta = effects.DEFAULT_DELTA
+    if args.grid_points is None:
+        args.grid_points = effects.DEFAULT_GRID_POINTS
     if args.grid_points < 2:
         raise ValidationError(f"--grid-points must be at least 2, got {args.grid_points}")
     if not 0.0 < args.delta < 1.0:  # false for nan
@@ -277,6 +302,8 @@ def _count(flag_value, flag: str, block: dict, key: str, default):
 
 
 def _cmd_montecarlo(args) -> int:
+    from . import montecarlo
+
     cfg = load_config(args.config)
     sim = simconfig_from_config(cfg)
     basis = basis_from_config(cfg)
@@ -327,6 +354,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_ior_test(args) -> int:
+    from . import estimator
+
     data = estimator.ingest_csv(args.data)
     res = estimator.ior_test(data)
     payload = {
@@ -374,8 +403,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delta", type=float, default=effects.DEFAULT_DELTA)
-    p.add_argument("--grid-points", type=int, default=effects.DEFAULT_GRID_POINTS)
+    # the defaults are effects.DEFAULT_DELTA and DEFAULT_GRID_POINTS, read when the command runs
+    p.add_argument("--delta", type=float)
+    p.add_argument("--grid-points", type=int)
     p.set_defaults(func=_cmd_effects)
 
     p = sub.add_parser("montecarlo", help="replication study: bias, SD, coverage")

@@ -19,17 +19,18 @@ import numpy as np
 
 from . import moments
 from .design import SaturationDesign
-from .dgp import Cells, ExperimentData, _loo_take_up
+from .data import Cells, ExperimentData, _loo_take_up
 from .errors import SingularSystemError, ValidationError
 from .io import ingest_csv  # noqa: F401  the CLI calls, and perfbench traces, estimator.ingest_csv
-from .model import BasisSpec
-
-TARGET_JOINT = "joint"
-TARGET_COMPLIER_PSI = "complier_psi"
-TARGET_NEVER_TAKER = "never_taker"
-TARGET_POPULATION = "population"
-TARGET_COMPLIER_THETA = "complier_theta"
-TARGET_NAIVE = "naive_iv"
+from .model import (  # noqa: F401  the target names are re-exported
+    TARGET_COMPLIER_PSI,
+    TARGET_COMPLIER_THETA,
+    TARGET_JOINT,
+    TARGET_NAIVE,
+    TARGET_NEVER_TAKER,
+    TARGET_POPULATION,
+    BasisSpec,
+)
 
 RS_TARGETS = (TARGET_JOINT, TARGET_COMPLIER_PSI, TARGET_NEVER_TAKER, TARGET_POPULATION)
 
@@ -598,7 +599,7 @@ def ior_test(data: ExperimentData) -> IORTestResult:
         raise ValidationError("no offered individuals; IOR test undefined")
     cells = cells.take(offered)
     sat, d, count = cells.saturation, cells.d, cells.count
-    sats = np.unique(sat)
+    sats = sorted(set(sat.tolist()))  # np.unique would import numpy.ma
     if len(sats) < 2:
         raise ValidationError("IOR test needs at least two saturation bins with offers")
     n_clusters = cells.n_groups

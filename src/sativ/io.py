@@ -14,7 +14,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .dgp import ExperimentData, GroupData
+from .data import ExperimentData, GroupData
 from .errors import ValidationError
 
 CSV_HEADER = ("group_id", "saturation", "z", "d", "y")

@@ -5,8 +5,8 @@ vector that depends on their own treatment status: theta when untreated, psi
 when treated.  Direct and indirect effects are linear functionals of the
 mean coefficients; ``effects.effect_curve`` evaluates them, with their
 delta-method bands, from estimated coefficients.  This module holds the
-basis f on [0, 1] and the sub-population mean coefficients the oracle
-returns.
+basis f on [0, 1], the sub-population mean coefficients the oracle
+returns and the names of the estimation targets.
 """
 from __future__ import annotations
 
@@ -24,6 +24,15 @@ LABEL_POPULATION = "population"
 LABEL_COMPLIER = "complier"
 LABEL_NEVER_TAKER = "never_taker"
 _LABELS = (LABEL_POPULATION, LABEL_COMPLIER, LABEL_NEVER_TAKER)
+
+# Estimation targets, which ``estimator`` fits and re-exports; defined here so
+# the CLI can name them without loading the estimator.
+TARGET_JOINT = "joint"
+TARGET_COMPLIER_PSI = "complier_psi"
+TARGET_NEVER_TAKER = "never_taker"
+TARGET_POPULATION = "population"
+TARGET_COMPLIER_THETA = "complier_theta"
+TARGET_NAIVE = "naive_iv"
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def q_z_at_count(basis: BasisSpec, count, n, design: SaturationDesign) -> np.nda
     for block in filter(len, [np.flatnonzero(shared), *np.flatnonzero(~shared)[:, None]]):
         distinct, pmf_row = np.unique(counts[block], return_inverse=True)
         parts, grids = [], []  # per size: its pairs and their pmf rows; its grid of Dbar
-        for size in np.unique(sizes[block]):
+        for size in sorted(set(sizes[block].tolist())):  # np.unique would import numpy.ma
             at = sizes[block] == size
             parts.append((block[at], pmf_row[at]))
             grids.append(np.arange(counts[block[at]].max() + 1) / (size - 1))

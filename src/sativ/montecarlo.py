@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -80,29 +79,6 @@ class MCReport:
     singular: list[SingularReplication]  # in replication order
 
 
-def config_dict(cfg: SimConfig) -> dict:
-    """JSON-friendly echo of a simulation config."""
-    out = {
-        "G": cfg.G,
-        "n": cfg.n,
-        "design": {
-            "saturations": list(cfg.design.saturations),
-            **(
-                {"counts": list(cfg.design.counts)}
-                if cfg.design.counts is not None
-                else {"probs": list(cfg.design.weights)}
-            ),
-        },
-        "means": list(cfg.means),
-        "kappa": list(cfg.kappa),
-        "sigma": list(cfg.sigma),
-        "complier_shares": list(cfg.complier_shares),
-        "share_probs": list(cfg.probs),
-        "seed": cfg.seed if isinstance(cfg.seed, int) else list(cfg.seed),
-    }
-    return out
-
-
 def oracle_truths(
     cfg: SimConfig, estimators=(ESTIMATOR_RS, ESTIMATOR_NAIVE), oracle_draws: int = 10**6
 ) -> dict[str, float]:
@@ -165,6 +141,8 @@ def run_mc(
     # the replications share one table of per-key R^+ per process (estimator._KeyTable)
     jobs = min(jobs, reps)  # a fork pool starts all its workers at the first task
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial studies never load it
+
         with ProcessPoolExecutor(jobs, initializer=estimator._start_study_tables) as pool:
             results = list(pool.map(replicate_once, *args, chunksize=max(1, reps // (4 * jobs))))
     else:
@@ -201,7 +179,7 @@ def run_mc(
         n_singular_excluded=n_excluded,
         estimators=tuple(estimators),
         pure_control=pure_control,
-        config=config_dict(cfg),
+        config=dgp.config_dict(cfg),
         runtime_seconds=time.perf_counter() - t0,
         per_replication=results,
         singular=singular,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded with this module, not lazily at the first draw
 
 # Reserved path tags.  Streams with different leading tags never collide.
 TAG_SATURATIONS = 0

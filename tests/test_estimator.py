@@ -14,11 +14,11 @@ from scipy.stats import f as f_dist
 
 import sativ
 from sativ.design import SaturationDesign
+from sativ.data import _canonical_order
 from sativ.dgp import (
     ExperimentData,
     GroupData,
     SimConfig,
-    _canonical_order,
     oracle_subpopulation_means,
     simulate_experiment,
 )

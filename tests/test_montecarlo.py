@@ -1,10 +1,11 @@
+import concurrent.futures
 import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sativ import estimator, moments, montecarlo
+from sativ import estimator, moments
 from sativ.design import SaturationDesign
 from sativ.dgp import SimConfig, simulate_experiment
 from sativ.errors import ValidationError
@@ -134,7 +135,7 @@ class TestDeterminism:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(seed=17)
         report = run_mc(cfg, reps=2, jobs=500, oracle_draws=10**5)
         assert sizes == [2]
